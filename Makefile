@@ -5,23 +5,23 @@
 #   make lint       — gofmt -l (fails on unformatted files) + go vet
 #   make test       — full-fidelity suite (slow; shrinks with core count)
 #   make test-short — reduced-scale suite, well under 30 s
-#   make test-race  — race-enabled short suite
+#   make test-race  — race-enabled short suite, run twice so reused
+#                     scratch is exercised across repeated calls
+#   make test-race-obs — race leg under the ZIGZAG_NO_OBS=1 switch
+#   make test-race-kern — race leg under the ZIGZAG_NAIVE_KERNELS=1 switch
 #   make bench      — paper-figure benchmarks (root package)
 #   make bench-correlate — naive-vs-FFT correlation engine benchmarks
-#   make bench-decode — naive-vs-polyphase decode hot-path benchmarks
+#   make bench-decode — polyphase decode hot-path benchmarks
 #   make bench-impair — impairment-engine benchmarks: per-model costs
 #                      plus static-vs-impaired Air.MixInto
 #   make bench-check — session-engine benchmark-regression gate:
-#                      trimmed sweeps, pooled vs unpooled identity +
-#                      calibrated-unit diff against BENCH_session.json
-#                      (now including the harsh-channel suite), plus the
-#                      k-way gate below
+#                      trimmed sweeps' calibrated-unit diff against
+#                      BENCH_session.json (now including the
+#                      harsh-channel suite), plus every gate below
 #   make bench-kway — k-way SIC gate only: end-to-end joint-decode cost
-#                     at k=2/3/4 vs BENCH_kway.json + k=2
-#                     generalized-vs-pairwise bit-identity
+#                     at k=2/3/4 vs BENCH_kway.json
 #   make bench-campaign — campaign gate only: 2-shard-merge vs unsharded
-#                     byte-identity, streaming-vs-legacy-metrics
-#                     bit-identity, calibrated cost + shard overhead vs
+#                     byte-identity, calibrated cost + shard overhead vs
 #                     BENCH_campaign.json
 #   make bench-kern — DSP kernel-layer benchmarks: the kern package's
 #                     kernel microbenchmarks plus the impair per-model
@@ -29,20 +29,21 @@
 #   make bench-kern-v3 — bench-kern rebuilt with GOAMD64=v3 (AVX/FMA
 #                     baseline), for comparing instruction-set levels;
 #                     record the level next to any number you commit
-#   make bench-serve — streaming-serve gate only: streaming-vs-oneshot
+#   make bench-serve — streaming-serve gate only: rechunked-stream
 #                     frame-digest identity, overload-shedding check,
 #                     calibrated serve cost + allocation rate vs
 #                     BENCH_serve.json
 #   make bench-obs  — observability gate only: observation-identity
-#                     frame digests (off/on/hatched), exact
+#                     frame digests (off/on/no-obs), exact
 #                     metrics-vs-Report reconciliation, disabled- and
 #                     observed-path 0 allocs/op pins, calibrated cost +
 #                     observed/disabled overhead vs BENCH_obs.json
-#   make ci         — what a pipeline should run: vet + race suites
+#   make ci         — what a pipeline should run: vet + the three race
+#                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, the race suites and lint as
-# separate jobs, and `make bench-check` as a non-blocking perf canary.
+# and `make test-short` on two Go versions, lint as a separate job, and
+# `make bench-check` as a non-blocking perf canary.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -50,69 +51,18 @@
 
 GO ?= go
 
-# Packages touched by the correlation engine; test-race-correlate runs
-# them twice under the race detector so the reused scratch buffers
-# (Synchronizer/Receiver state, the per-plan-size pools) are exercised
-# across repeated steady-state calls.
-CORRELATE_PKGS = ./internal/dsp/... ./internal/phy/... ./internal/core/...
-
-# Packages touched by the polyphase decode engine; test-race-decode runs
-# them twice under the race detector so the per-modeler/per-decoder
-# scratch (wave/img/chip buffers, phase-FIR coefficients, Air work
-# buffers) is exercised across repeated steady-state calls on both
-# interpolation paths.
-DECODE_PKGS = ./internal/dsp/... ./internal/channel/... ./internal/phy/... ./internal/core/...
-
-# Packages touched by the impairment engine; test-race-impair runs them
-# twice under the race detector on both the impaired and the globally
-# disabled (static-channel) path, so per-worker chains, model scratch
-# and the session-pool chain lifecycle are exercised across repeated
-# steady-state calls.
-IMPAIR_PKGS = ./internal/impair/... ./internal/channel/... ./internal/testbed/...
-
-# Packages touched by the generalized k-way SIC framework;
-# test-race-kway runs them twice under the race detector on both SIC
-# policies (generalized and the ZIGZAG_PAIRWISE_SIC=1 escape hatch), so
-# the per-decoder k-way scratch, the receiver's store matcher, and the
-# k-way experiment sweeps are exercised across repeated steady-state
-# calls on each path.
-KWAY_PKGS = ./internal/core/... ./internal/session/... ./internal/experiments/...
-
-# Packages touched by the streaming-metrics campaign stack;
-# test-race-campaign runs them twice under the race detector on both
-# metrics paths (streaming reducers and the ZIGZAG_LEGACY_METRICS=1
-# escape hatch), so the block-based Reduce scheduler, the mergeable
-# accumulators, checkpoint/resume, and the sharded sweeps are exercised
-# across repeated steady-state calls on each path.
-CAMPAIGN_PKGS = ./internal/metrics/... ./internal/runner/... ./internal/session/... ./internal/campaign/... ./internal/experiments/...
-
-# Packages touched by the streaming ingest surface and the serve
-# engine; test-race-serve runs them twice under the race detector on
-# both ingest paths (the Ingest/Poll front end and the
-# ZIGZAG_ONESHOT_INGEST=1 one-shot wrapper hatch), so the framer state
-# machine, the bounded pending queue's buffer recycling, and the
-# engine's policy/latency accounting are exercised across repeated
-# steady-state calls on each path.
-SERVE_PKGS = ./internal/serve/... ./internal/core/... ./internal/phy/... ./internal/hatch/...
-
-# Packages touched by the structured observability layer;
-# test-race-obs runs them twice under the race detector with
-# observation on and with the ZIGZAG_NO_OBS=1 global-disable hatch, so
-# the event ring's mutex, the registry's atomic counters/gauges and
-# mutexed histograms, the exporter's snapshot rotation, and the
-# engine/receiver/framer attachment points are exercised across
-# repeated steady-state calls on both paths.
+# Packages with an observability attachment point; test-race-obs
+# races them with the ZIGZAG_NO_OBS=1 switch set, so the
+# detached configuration gets the same -count=2 race coverage as the
+# default one test-race gives every package.
 OBS_PKGS = ./internal/obs/... ./internal/core/... ./internal/phy/... ./internal/serve/... ./internal/hatch/...
 
-# Packages touched by the DSP kernel layer; test-race-kern runs them
-# twice under the race detector on both kernel paths (the packed/
-# recurrence kernels and the ZIGZAG_NAIVE_KERNELS=1 scalar-reference
-# hatch), so the kernel dispatch flag, the per-model oscillator banks
-# and the batched emission rendering are exercised across repeated
-# steady-state calls on each path.
+# Packages the DSP kernel layer dispatches in; test-race-kern races
+# them with the ZIGZAG_NAIVE_KERNELS=1 switch set (the scalar-reference
+# paths, which agree with the kernels only to tolerance).
 KERN_PKGS = ./internal/dsp/... ./internal/impair/... ./internal/channel/... ./internal/phy/... ./internal/core/...
 
-.PHONY: all build vet lint test test-short test-race test-race-correlate test-race-decode test-race-impair test-race-kway test-race-campaign test-race-kern test-race-serve test-race-obs bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
+.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
 
 all: build
 
@@ -136,38 +86,13 @@ test-short: build
 	$(GO) test -short ./...
 
 test-race: build
-	$(GO) test -short -race ./...
-
-test-race-correlate: build
-	$(GO) test -short -race -count=2 $(CORRELATE_PKGS)
-
-test-race-decode: build
-	$(GO) test -short -race -count=2 $(DECODE_PKGS)
-	ZIGZAG_NAIVE_INTERP=1 $(GO) test -short -race -count=2 $(DECODE_PKGS)
-
-test-race-impair: build
-	$(GO) test -short -race -count=2 $(IMPAIR_PKGS)
-	ZIGZAG_NO_IMPAIR=1 $(GO) test -short -race -count=2 $(IMPAIR_PKGS)
-
-test-race-kway: build
-	$(GO) test -short -race -count=2 $(KWAY_PKGS)
-	ZIGZAG_PAIRWISE_SIC=1 $(GO) test -short -race -count=2 $(KWAY_PKGS)
-
-test-race-campaign: build
-	$(GO) test -short -race -count=2 $(CAMPAIGN_PKGS)
-	ZIGZAG_LEGACY_METRICS=1 $(GO) test -short -race -count=2 $(CAMPAIGN_PKGS)
-
-test-race-kern: build
-	$(GO) test -short -race -count=2 $(KERN_PKGS)
-	ZIGZAG_NAIVE_KERNELS=1 $(GO) test -short -race -count=2 $(KERN_PKGS)
-
-test-race-serve: build
-	$(GO) test -short -race -count=2 $(SERVE_PKGS)
-	ZIGZAG_ONESHOT_INGEST=1 $(GO) test -short -race -count=2 $(SERVE_PKGS)
+	$(GO) test -short -race -count=2 ./...
 
 test-race-obs: build
-	$(GO) test -short -race -count=2 $(OBS_PKGS)
 	ZIGZAG_NO_OBS=1 $(GO) test -short -race -count=2 $(OBS_PKGS)
+
+test-race-kern: build
+	ZIGZAG_NAIVE_KERNELS=1 $(GO) test -short -race -count=2 $(KERN_PKGS)
 
 bench: build
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -207,17 +132,7 @@ bench-kern-v3:
 	GOAMD64=v3 $(GO) test -bench=. -benchmem -run='^$$' ./internal/dsp/kern
 	GOAMD64=v3 $(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair
 
-# test-race-correlate is not a ci prerequisite: test-race-decode's
-# default-path run covers the same packages (plus channel) with the
-# same flags, so listing both would race-test dsp/phy/core twice.
-# test-race-impair IS listed: its no-impair leg and the impair/testbed
-# packages are not covered by the decode matrix. test-race-kway is
-# likewise listed for its pairwise-hatch leg and the session/experiments
-# coverage of the generalized scheduler. test-race-campaign adds the
-# metrics/runner/campaign packages and the legacy-metrics-hatch leg.
-# test-race-kern adds the naive-kernels-hatch leg across every package
-# the kernel layer dispatches in. test-race-serve adds the serve/hatch
-# packages and the oneshot-ingest-hatch leg over the streaming surface.
-# test-race-obs adds the obs package and the no-obs-hatch leg over
-# every instrumented attachment point.
-ci: vet test-race test-race-decode test-race-impair test-race-kway test-race-campaign test-race-kern test-race-serve test-race-obs
+# Three race legs: test-race covers every package on the default
+# paths, and each remaining runtime switch gets one leg over the
+# packages it reaches.
+ci: vet test-race test-race-obs test-race-kern

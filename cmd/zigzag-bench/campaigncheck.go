@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 
 	"zigzag/internal/campaign"
-	"zigzag/internal/experiments"
-	"zigzag/internal/metrics"
 )
 
 // The campaign leg of -check guards the streaming-metrics stack:
@@ -18,11 +15,7 @@ import (
 //     report must be byte-identical — the acceptance property of the
 //     whole sharded engine, exercised through the same path the CLI
 //     uses.
-//  2. Legacy-hatch identity: the fig5-3 counting sweep runs through the
-//     streaming reducer and again under the -legacy-metrics hatch
-//     (historical materialize-then-fold path); the tallies must match
-//     bit for bit.
-//  3. Calibrated cost: the unsharded campaign's wall-clock is
+//  2. Calibrated cost: the unsharded campaign's wall-clock is
 //     normalized by the calibration kernel and gated against
 //     BENCH_campaign.json; the two-shard run of the same work is
 //     additionally gated on its overhead ratio, which is what the
@@ -99,24 +92,7 @@ func runCampaignCheck(cal float64) (map[string]float64, bool) {
 		fmt.Println("bench-check campaign  2-shard merge ≡ unsharded run (byte-identical report)")
 	}
 
-	// Gate 2: streaming reducer vs the -legacy-metrics hatch on a
-	// trimmed counting sweep.
-	legacyScale := checkScale
-	legacyScale.Pairs = 2
-	wasLegacy := metrics.LegacyEnabled()
-	metrics.SetLegacy(false)
-	stream := experiments.Fig53Counts(legacyScale, 3, experiments.Shard{})
-	metrics.SetLegacy(true)
-	legacy := experiments.Fig53Counts(legacyScale, 3, experiments.Shard{})
-	metrics.SetLegacy(wasLegacy)
-	if !reflect.DeepEqual(stream, legacy) {
-		fmt.Fprintln(os.Stderr, "bench-check: campaign: streaming and -legacy-metrics fig5-3 tallies DIFFER — the reducer migration drifted")
-		failed = true
-	} else {
-		fmt.Println("bench-check campaign  streaming reducer ≡ legacy-metrics hatch (bit-identical tallies)")
-	}
-
-	// Gate 3: calibrated units and shard overhead.
+	// Gate 2: calibrated units and shard overhead.
 	units := map[string]float64{
 		"campaign":         wholeDur.Seconds() / cal,
 		"campaign_sharded": shardDur.Seconds() / cal,

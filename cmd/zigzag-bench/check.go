@@ -4,33 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"zigzag/internal/experiments"
-	"zigzag/internal/session"
 )
 
 // The -check mode is the benchmark-regression gate. It runs a trimmed
-// pass of representative figure sweeps and applies three checks:
-//
-//  1. Identity: each sweep runs twice — on pooled sessions and with the
-//     pool disabled (world rebuilt per trial) — and the two results
-//     must be bit-identical. This is the correctness canary for the
-//     whole session engine.
-//  2. Pool floor: pooled mode must not be slower than unpooled beyond
-//     noise (speedup ≥ min_pool_speedup). Most of the arena wins apply
-//     within a trial in both modes, so this ratio sits near 1 for
-//     decode-bound sweeps; the floor catches pooling turning into a
-//     pessimization.
-//  3. Calibrated units: each sweep's wall-clock is divided by the time
-//     of a fixed CPU-bound calibration kernel measured on the same
-//     machine, and the quotient is compared against the committed
-//     reference within a generous tolerance factor. Normalizing by the
-//     kernel makes the gate portable across hosts of different speeds
-//     while still catching gross per-trial cost regressions.
+// pass of representative figure sweeps and checks their calibrated
+// units: each sweep's wall-clock is divided by the time of a fixed
+// CPU-bound calibration kernel measured on the same machine, and the
+// quotient is compared against the committed reference within a
+// generous tolerance factor. Normalizing by the kernel makes the gate
+// portable across hosts of different speeds while still catching gross
+// per-trial cost regressions. (Pooled-versus-fresh session identity is
+// internal/session's TestSessionReuseBitIdentical.)
 //
 // The committed reference values live in BENCH_session.json (which also
 // records the measured speedups of this engine against the pre-session
@@ -50,8 +39,7 @@ var checkScale = experiments.Scale{
 	Workers:        1, // serial: isolates per-trial cost from scheduling
 }
 
-// checkSweeps are the benchmarked figure sweeps. Each returns a
-// comparable result so the pooled/unpooled identity check is exact.
+// checkSweeps are the benchmarked figure sweeps.
 var checkSweeps = []struct {
 	name string
 	run  func() any
@@ -61,9 +49,7 @@ var checkSweeps = []struct {
 	{"table5-1", func() any { return experiments.Table51MicroEval(checkScale, 3) }},
 	{"fig5-5", func() any { return experiments.RunTestbed(checkScale, 3) }},
 	// The harsh-channel suite exercises the impairment engine's hot
-	// path (fading/drift/interference beneath every mix); its
-	// pooled-vs-unpooled identity also covers the chain's session
-	// lifecycle.
+	// path (fading/drift/interference beneath every mix).
 	{"harsh", func() any { return experiments.HarshChannelSuite(checkScale, 3) }},
 }
 
@@ -72,17 +58,14 @@ var checkSweeps = []struct {
 type benchFile struct {
 	Check struct {
 		ToleranceFactor float64            `json:"tolerance_factor"`
-		MinPoolSpeedup  float64            `json:"min_pool_speedup"`
 		ReferenceUnits  map[string]float64 `json:"reference_units"`
 	} `json:"check"`
 }
 
 // measuredSweep is one sweep's -check measurement.
 type measuredSweep struct {
-	PooledSeconds   float64 `json:"pooled_seconds"`
-	UnpooledSeconds float64 `json:"unpooled_seconds"`
-	PoolSpeedup     float64 `json:"pool_speedup"`
-	Units           float64 `json:"units"` // pooled_seconds / calibration_seconds
+	Seconds float64 `json:"seconds"`
+	Units   float64 `json:"units"` // seconds / calibration_seconds
 }
 
 // buildGoamd64 returns the GOAMD64 microarchitecture level this binary
@@ -141,19 +124,15 @@ func calibrate() float64 {
 // timeSweep runs fn twice (warm-up + timed) and returns the timed
 // duration and result.
 func timeSweep(fn func() any) (time.Duration, any) {
-	fn() // warm-up: grow pools/arenas (pooled) or page in code (unpooled)
+	fn() // warm-up: grow pools/arenas and page in code
 	start := time.Now()
 	out := fn()
 	return time.Since(start), out
 }
 
 func runBenchCheck(outPath string, kwayOnly, campaignOnly, serveOnly, obsOnly bool) int {
-	wasDisabled := session.PoolDisabled()
-	defer session.SetPoolDisabled(wasDisabled)
-
 	var ref benchFile
 	ref.Check.ToleranceFactor = 2.5
-	ref.Check.MinPoolSpeedup = 0.8
 	if data, err := os.ReadFile("BENCH_session.json"); err == nil {
 		if err := json.Unmarshal(data, &ref); err != nil {
 			fmt.Fprintf(os.Stderr, "bench-check: BENCH_session.json unreadable: %v\n", err)
@@ -164,9 +143,6 @@ func runBenchCheck(outPath string, kwayOnly, campaignOnly, serveOnly, obsOnly bo
 	}
 	if ref.Check.ToleranceFactor <= 0 {
 		ref.Check.ToleranceFactor = 2.5
-	}
-	if ref.Check.MinPoolSpeedup <= 0 {
-		ref.Check.MinPoolSpeedup = 0.8
 	}
 
 	cal := calibrate()
@@ -179,36 +155,17 @@ func runBenchCheck(outPath string, kwayOnly, campaignOnly, serveOnly, obsOnly bo
 		sweeps = nil
 	}
 	for _, sw := range sweeps {
-		session.SetPoolDisabled(false)
-		pooledDur, pooledOut := timeSweep(sw.run)
-		session.SetPoolDisabled(true)
-		unpooledDur, unpooledOut := timeSweep(sw.run)
-
-		if !reflect.DeepEqual(pooledOut, unpooledOut) {
-			fmt.Fprintf(os.Stderr, "bench-check: %s: pooled and unpooled outputs DIFFER — session reuse broke determinism\n", sw.name)
-			failed = true
-		}
-		m := measuredSweep{
-			PooledSeconds:   pooledDur.Seconds(),
-			UnpooledSeconds: unpooledDur.Seconds(),
-			PoolSpeedup:     unpooledDur.Seconds() / pooledDur.Seconds(),
-			Units:           pooledDur.Seconds() / cal,
-		}
+		dur, _ := timeSweep(sw.run)
+		m := measuredSweep{Seconds: dur.Seconds(), Units: dur.Seconds() / cal}
 		results[sw.name] = m
 		verdict := "ok"
-		if m.PoolSpeedup < ref.Check.MinPoolSpeedup {
-			verdict = fmt.Sprintf("POOL REGRESSION (floor %.2fx)", ref.Check.MinPoolSpeedup)
-			failed = true
-		}
 		if refUnits, hasRef := ref.Check.ReferenceUnits[sw.name]; hasRef && m.Units > refUnits*ref.Check.ToleranceFactor {
 			verdict = fmt.Sprintf("PERF REGRESSION (%.1f units > %.1f × %.1f)", m.Units, refUnits, ref.Check.ToleranceFactor)
 			failed = true
 		}
-		fmt.Printf("bench-check %-9s pooled %7.3fs  unpooled %7.3fs  pool-speedup %5.2fx  %6.1f units  %s\n",
-			sw.name, m.PooledSeconds, m.UnpooledSeconds, m.PoolSpeedup, m.Units, verdict)
+		fmt.Printf("bench-check %-9s %7.3fs  %6.1f units  %s\n", sw.name, m.Seconds, m.Units, verdict)
 	}
 
-	session.SetPoolDisabled(false)
 	var kernUnits map[string]float64
 	if !kwayOnly && !campaignOnly && !serveOnly && !obsOnly {
 		var kernFailed bool

@@ -7,7 +7,7 @@
 //	              table5-1|fig5-2a|fig5-2b|fig5-3|fig5-4|fig5-5|fig5-9|
 //	              harsh|kway|campaign]
 //	             [-scale quick|full] [-seed N] [-workers N] [-k N]
-//	             [-pairwise-sic] [-legacy-metrics]
+//	             [-naive-kernels] [-no-obs]
 //	             [-shards N -shard i [-shard-out FILE]] [-merge F1,F2,...]
 //	             [-checkpoint FILE [-checkpoint-every N] [-stop-after-blocks N]]
 //
@@ -18,18 +18,13 @@
 //
 // "harsh" is the time-varying-channel suite (internal/impair): BER of
 // jointly decoded collision pairs vs Doppler (with the phase-tracking
-// ablation), Rician K, interferer duty cycle, and CFO drift rate.
-// -no-impair (or ZIGZAG_NO_IMPAIR=1) pins every chain to the static
-// channel. -k raises the suite's collision order: k packets colliding
-// k times per trial through the generalized SIC path (§7); k=2 is the
-// historical pairwise suite, byte-identical.
+// ablation), Rician K, interferer duty cycle, and CFO drift rate. -k
+// raises the suite's collision order: k packets colliding k times per
+// trial through the generalized SIC path (§7); k=2 is the historical
+// pairwise suite, byte-identical.
 //
 // "kway" is the collision-order sweep: joint-decode BER at k = 2, 3, 4
 // on the static channel and under mild fading.
-//
-// -pairwise-sic (or ZIGZAG_PAIRWISE_SIC=1) forces every decode onto the
-// legacy pairwise chunk-ordering policy regardless of k — the escape
-// hatch for the generalized k-way SIC framework.
 //
 // "campaign" is the city-scale engine (internal/campaign): overlapping
 // BSSes with churned station placement, k-way collision episodes
@@ -41,13 +36,11 @@
 // -shards N -shard i runs one contiguous slice of the trial space and
 // writes a mergeable JSON partial; -merge folds partials and renders
 // stdout byte-identical to the unsharded run, at any shard split and
-// worker count. -legacy-metrics (or ZIGZAG_LEGACY_METRICS=1) pins the
-// historical materialize-then-fold metrics path, bit-identically.
+// worker count.
 //
-// Every escape hatch (-no-impair, -pairwise-sic, -legacy-metrics,
-// -naive-correlate, ...) is registered from the internal/hatch
-// registry; each has a matching ZIGZAG_* environment variable, and an
-// absent flag never overrides the environment.
+// The two runtime switches, -naive-kernels and -no-obs, come from the
+// internal/hatch registry; each has a matching ZIGZAG_* environment
+// variable, and an absent flag never overrides the environment.
 //
 // Every output block is labelled with the paper artifact it reproduces;
 // EXPERIMENTS.md records paper-vs-measured values for each.
@@ -71,13 +64,13 @@ func main() {
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = all cores)")
 	kOrder := flag.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
 	check := flag.Bool("check", false,
-		"run the trimmed session-throughput benchmark and diff the pooled/unpooled speedups against BENCH_session.json, plus the DSP kernel gate (BENCH_kern.json), the k-way gate (BENCH_kway.json), the campaign shard-merge gate (BENCH_campaign.json) and the streaming-serve gate (BENCH_serve.json)")
+		"run the trimmed figure sweeps (calibrated units against BENCH_session.json), plus the DSP kernel gate (BENCH_kern.json), the k-way gate (BENCH_kway.json), the campaign shard-merge gate (BENCH_campaign.json) and the streaming-serve gate (BENCH_serve.json)")
 	kwayOnly := flag.Bool("kway-only", false,
-		"with -check: run only the k-way gate (k=2/3/4 decode cost + k=2 generalized-vs-pairwise identity)")
+		"with -check: run only the k-way gate (k=2/3/4 decode cost)")
 	campaignOnly := flag.Bool("campaign-only", false,
 		"with -check: run only the campaign gate (shard-merge identity + reducer cost)")
 	serveOnly := flag.Bool("serve-only", false,
-		"with -check: run only the serve gate (streaming-vs-oneshot identity, overload shedding, throughput/latency floor)")
+		"with -check: run only the serve gate (rechunked-stream identity, overload shedding, throughput/allocation floor)")
 	obsOnly := flag.Bool("obs-only", false,
 		"with -check: run only the observability gate (observation-identity digests, metric/report reconciliation, disabled-path alloc + cost pins)")
 	benchOut := flag.String("bench-out", "",

@@ -133,8 +133,6 @@ func runObsCheck(cal float64) (map[string]float64, bool) {
 	wasDisabled := obs.Disabled()
 	defer obs.SetDisabled(wasDisabled)
 	obs.SetDisabled(false)
-	wasOneshot := serve.OneshotIngest()
-	defer serve.SetOneshotIngest(wasOneshot)
 
 	var ref obsBenchFile
 	ref.Check.ToleranceFactor = 2.5
@@ -157,13 +155,13 @@ func runObsCheck(cal float64) (map[string]float64, bool) {
 
 	// Gates 1+2: digest identity across observation states, hatch-off
 	// registers nothing, counters reconcile with the report.
-	base := runServeOnce(false, 512, serve.Config{})
+	base := runServeOnce(512, serve.Config{})
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(obs.DefaultRingCapacity)
-	observed := runServeOnce(false, 512, serve.Config{Metrics: reg, Events: ring})
+	observed := runServeOnce(512, serve.Config{Metrics: reg, Events: ring})
 	obs.SetDisabled(true)
 	hatchReg := obs.NewRegistry()
-	hatched := runServeOnce(false, 512, serve.Config{Metrics: hatchReg, Events: obs.NewRing(64)})
+	hatched := runServeOnce(512, serve.Config{Metrics: hatchReg, Events: obs.NewRing(64)})
 	obs.SetDisabled(false)
 
 	if base.FrameDigest != observed.FrameDigest || base.FrameDigest != hatched.FrameDigest {
@@ -218,7 +216,7 @@ func runObsCheck(cal float64) (map[string]float64, bool) {
 			return serve.Config{Metrics: obs.NewRegistry(), Events: obs.NewRing(obs.DefaultRingCapacity)}
 		}},
 	} {
-		dur, _ := timeSweep(func() any { return runServeOnce(false, 512, leg.cfg()) })
+		dur, _ := timeSweep(func() any { return runServeOnce(512, leg.cfg()) })
 		u := dur.Seconds() / cal
 		units[leg.name] = u
 		verdict := "ok"

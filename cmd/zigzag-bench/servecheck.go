@@ -13,18 +13,17 @@ import (
 // The serve leg of -check guards the streaming ingest redesign:
 //
 //  1. Identity: the same synthetic stream runs through the streaming
-//     Ingest/Poll front end (at two unrelated chunk sizes) and through
-//     the -oneshot-ingest hatch (burst framing + the one-shot Receive
-//     wrapper), and every frame digest must match. Any divergence means
-//     the streaming surface is no longer a pure re-layering of the
-//     one-shot receiver.
+//     Ingest/Poll front end at two unrelated chunk sizes, and both
+//     frame digests must match. (internal/serve's
+//     TestEngineStreamingOneshotIdentity pins the engine against a
+//     one-shot framer-plus-Receive loop.)
 //  2. Shedding: a 2× overload (one decode budgeted per read that
 //     carries two receptions) must shed receptions — counted, with
 //     polled + dropped == framed — while still delivering frames. This
 //     is the no-stall contract of the bounded queue.
 //  3. Calibrated cost + allocation rate: the end-to-end cost of serving
-//     a fixed synthetic stream (generation + framing + decode) on each
-//     ingest path is normalized by the calibration kernel and compared
+//     a fixed synthetic stream (generation + framing + decode) is
+//     normalized by the calibration kernel and compared
 //     against BENCH_serve.json within the tolerance factor; the decode
 //     allocation rate per delivered frame is gated the same way (the
 //     bounded-memory canary — the streaming layer itself is pinned to
@@ -49,10 +48,9 @@ type serveBenchFile struct {
 // that the calibrated quotient resolves above the timer floor.
 var serveCheckStream = serve.SynthConfig{Seed: 11, Episodes: 48, Payload: 200}
 
-// runServeOnce serves the gate's workload once on the chosen ingest
-// path and returns the report.
-func runServeOnce(oneshot bool, chunk int, ecfg serve.Config) *serve.Report {
-	serve.SetOneshotIngest(oneshot)
+// runServeOnce serves the gate's workload once in chunks of chunk
+// samples and returns the report.
+func runServeOnce(chunk int, ecfg serve.Config) *serve.Report {
 	g, err := serve.NewSynthetic(serveCheckStream)
 	if err != nil {
 		panic(err)
@@ -72,9 +70,6 @@ func runServeOnce(oneshot bool, chunk int, ecfg serve.Config) *serve.Report {
 // runServeCheck runs the identity, shedding and cost gates. It returns
 // the measured units (for -bench-out) and whether any gate failed.
 func runServeCheck(cal float64) (map[string]float64, bool) {
-	wasOneshot := serve.OneshotIngest()
-	defer serve.SetOneshotIngest(wasOneshot)
-
 	var ref serveBenchFile
 	ref.Check.ToleranceFactor = 2.5
 	if data, err := os.ReadFile("BENCH_serve.json"); err == nil {
@@ -90,26 +85,25 @@ func runServeCheck(cal float64) (map[string]float64, bool) {
 	}
 	failed := false
 
-	// Gate 1: streaming ≡ oneshot ≡ any chunking.
-	stream := runServeOnce(false, 512, serve.Config{})
-	streamOdd := runServeOnce(false, 97, serve.Config{})
-	oneshot := runServeOnce(true, 512, serve.Config{})
+	// Gate 1: streaming ≡ any chunking.
+	stream := runServeOnce(512, serve.Config{})
+	streamOdd := runServeOnce(97, serve.Config{})
 	if stream.Frames == 0 || stream.Zigzag == 0 {
 		fmt.Fprintf(os.Stderr, "bench-check: serve: workload decoded %d frames (%d zigzag) — gate stream degenerate\n",
 			stream.Frames, stream.Zigzag)
 		failed = true
 	}
-	if stream.FrameDigest != oneshot.FrameDigest || stream.FrameDigest != streamOdd.FrameDigest {
-		fmt.Fprintf(os.Stderr, "bench-check: serve: frame digests DIFFER (stream %#x, chunk97 %#x, oneshot %#x) — streaming ingest broke bit-identity\n",
-			stream.FrameDigest, streamOdd.FrameDigest, oneshot.FrameDigest)
+	if stream.FrameDigest != streamOdd.FrameDigest {
+		fmt.Fprintf(os.Stderr, "bench-check: serve: frame digests DIFFER (stream %#x, chunk97 %#x) — streaming ingest broke bit-identity\n",
+			stream.FrameDigest, streamOdd.FrameDigest)
 		failed = true
 	} else {
-		fmt.Printf("bench-check serve     streaming ≡ oneshot hatch ≡ rechunked (digest %#x, %d frames)\n",
+		fmt.Printf("bench-check serve     streaming ≡ rechunked (digest %#x, %d frames)\n",
 			stream.FrameDigest, stream.Frames)
 	}
 
 	// Gate 2: 2× overload sheds without stalling.
-	shed := runServeOnce(false, 1<<16, serve.Config{
+	shed := runServeOnce(1<<16, serve.Config{
 		PollBudget: 1,
 		Stream:     core.StreamConfig{MaxPending: 2},
 	})
@@ -129,38 +123,30 @@ func runServeCheck(cal float64) (map[string]float64, bool) {
 			shed.Dropped, shed.Receptions, shed.Frames)
 	}
 
-	// Gate 3: calibrated cost per ingest path + allocation rate.
-	units := map[string]float64{}
-	for _, leg := range []struct {
-		name    string
-		oneshot bool
-	}{{"stream", false}, {"oneshot", true}} {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		dur, out := timeSweep(func() any { return runServeOnce(leg.oneshot, 512, serve.Config{}) })
-		runtime.ReadMemStats(&m1)
-		rep := out.(*serve.Report)
-		u := dur.Seconds() / cal
-		units[leg.name] = u
-		verdict := "ok"
-		if refUnits, hasRef := ref.Check.ReferenceUnits[leg.name]; hasRef && u > refUnits*ref.Check.ToleranceFactor {
-			verdict = fmt.Sprintf("PERF REGRESSION (%.1f units > %.1f × %.1f)", u, refUnits, ref.Check.ToleranceFactor)
-			failed = true
-		}
-		fmt.Printf("bench-check serve-%-7s %7.3fs  %6.1f units  %8.1f frames/s  p99 %6.3fms  %s\n",
-			leg.name, dur.Seconds(), u, rep.PacketsPerSec, rep.Latency.Quantile(0.99)/1e6, verdict)
-		if !leg.oneshot {
-			// Allocation rate of the streaming path (timed run covers
-			// warm-up + timed pass; both decode the same frame count).
-			apf := float64(m1.Mallocs-m0.Mallocs) / float64(2*rep.Frames)
-			units["allocs_per_frame"] = apf
-			verdict = "ok"
-			if refA, hasRef := ref.Check.ReferenceUnits["allocs_per_frame"]; hasRef && apf > refA*ref.Check.ToleranceFactor {
-				verdict = fmt.Sprintf("ALLOC REGRESSION (%.0f/frame > %.0f × %.1f)", apf, refA, ref.Check.ToleranceFactor)
-				failed = true
-			}
-			fmt.Printf("bench-check serve-allocs  %6.0f allocations per delivered frame  %s\n", apf, verdict)
-		}
+	// Gate 3: calibrated cost + allocation rate.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	dur, out := timeSweep(func() any { return runServeOnce(512, serve.Config{}) })
+	runtime.ReadMemStats(&m1)
+	rep := out.(*serve.Report)
+	u := dur.Seconds() / cal
+	units := map[string]float64{"stream": u}
+	verdict := "ok"
+	if refUnits, hasRef := ref.Check.ReferenceUnits["stream"]; hasRef && u > refUnits*ref.Check.ToleranceFactor {
+		verdict = fmt.Sprintf("PERF REGRESSION (%.1f units > %.1f × %.1f)", u, refUnits, ref.Check.ToleranceFactor)
+		failed = true
 	}
+	fmt.Printf("bench-check serve-stream  %7.3fs  %6.1f units  %8.1f frames/s  p99 %6.3fms  %s\n",
+		dur.Seconds(), u, rep.PacketsPerSec, rep.Latency.Quantile(0.99)/1e6, verdict)
+	// Allocation rate (the timed run covers warm-up + timed pass; both
+	// decode the same frame count).
+	apf := float64(m1.Mallocs-m0.Mallocs) / float64(2*rep.Frames)
+	units["allocs_per_frame"] = apf
+	verdict = "ok"
+	if refA, hasRef := ref.Check.ReferenceUnits["allocs_per_frame"]; hasRef && apf > refA*ref.Check.ToleranceFactor {
+		verdict = fmt.Sprintf("ALLOC REGRESSION (%.0f/frame > %.0f × %.1f)", apf, refA, ref.Check.ToleranceFactor)
+		failed = true
+	}
+	fmt.Printf("bench-check serve-allocs  %6.0f allocations per delivered frame  %s\n", apf, verdict)
 	return units, failed
 }

@@ -12,7 +12,7 @@
 //	             [-chunk 512] [-policy drop-oldest|degrade]
 //	             [-max-pending 8] [-poll-budget 0]
 //	             [-record FILE | -replay FILE] [-capture-format complex128|complex64]
-//	             [-listen ADDR] [-json]
+//	             [-listen ADDR] [-json] [-naive-kernels] [-no-obs]
 //
 // By default the engine serves a synthetic hidden-terminal workload:
 // -episodes collision episodes of -k mutually hidden senders, each
@@ -39,12 +39,9 @@
 // phases labeled. The exported counters reconcile exactly with the
 // final report. -no-obs (ZIGZAG_NO_OBS=1) disables the whole layer.
 //
-// Every escape hatch (-oneshot-ingest, -no-impair, -naive-correlate,
-// ...) is registered from the internal/hatch registry; each has a
-// matching ZIGZAG_* environment variable, and an absent flag never
-// overrides the environment. -oneshot-ingest pins the engine to the
-// one-shot Receive wrapper — the identity reference for the streaming
-// front end.
+// The two runtime switches, -naive-kernels and -no-obs, come from the
+// internal/hatch registry; each has a matching ZIGZAG_* environment
+// variable, and an absent flag never overrides the environment.
 package main
 
 import (
@@ -216,11 +213,7 @@ func main() {
 }
 
 func printReport(rep *serve.Report, policy serve.Policy) {
-	ingest := "streaming"
-	if rep.Oneshot {
-		ingest = "oneshot"
-	}
-	fmt.Printf("zigzag-serve: ingest=%s policy=%s\n", ingest, policy)
+	fmt.Printf("zigzag-serve: ingest=streaming policy=%s\n", policy)
 	fmt.Printf("stream:  %d samples  %d receptions  %d polled  %d dropped  %d forced cuts\n",
 		rep.Samples, rep.Receptions, rep.Polled, rep.Dropped, rep.ForcedCuts)
 	fmt.Printf("frames:  %d delivered (standard %d  zigzag %d  capture %d)  %d failed  %d collisions still stored\n",

@@ -9,7 +9,7 @@
 //	           [-doppler 0] [-rician-k 0] [-coherence-block 0]
 //	           [-mp-doppler 0] [-drift 0] [-phase-noise 0]
 //	           [-interf-duty 0] [-interf-amp 1] [-adc-bits 0]
-//	           [-no-impair] [-pairwise-sic]
+//	           [-naive-kernels] [-no-obs]
 //
 // -workers sizes the worker pool for the run's parallel sections (the
 // collision-free scheduler's independent slots; 0 = all cores). Results
@@ -19,20 +19,17 @@
 // (internal/impair) on every reception of the run: Rayleigh/Rician
 // fading at the given normalized Doppler, time-varying multipath, CFO
 // drift and phase noise, a bursty narrowband interferer, and ADC
-// clipping/quantization. With none set (or with -no-impair /
-// ZIGZAG_NO_IMPAIR=1) the run is the static paper channel,
-// byte-identical to pre-impair builds.
+// clipping/quantization. With none set (a zero impair.Profile) the run
+// is the static paper channel, byte-identical to pre-impair builds.
 //
-// Every escape hatch in the repository (-no-impair, -pairwise-sic,
-// -naive-correlate, ...) is registered from the internal/hatch
-// registry; each has a matching ZIGZAG_* environment variable, and an
-// absent flag never overrides the environment.
+// The two runtime switches, -naive-kernels and -no-obs, come from the
+// internal/hatch registry; each has a matching ZIGZAG_* environment
+// variable, and an absent flag never overrides the environment.
 //
 // With -senders 3 or 4 the stations are mutually hidden (-senders 3 is
 // the Fig 5-9 scenario); collisions of that order resolve through the
 // generalized k-way SIC framework (§7). -k is an alias for -senders —
-// the collision order — and -pairwise-sic (or ZIGZAG_PAIRWISE_SIC=1)
-// forces every decode onto the legacy pairwise chunk-ordering policy.
+// the collision order.
 package main
 
 import (
@@ -149,7 +146,7 @@ func main() {
 	res := testbed.Run(cfg, scheme)
 	fmt.Printf("scheme=%s senders=%d payload=%dB packets=%d kind=%s\n",
 		scheme, *senders, *payload, *packets, *kindName)
-	if !prof.Empty() && !impair.Disabled() {
+	if !prof.Empty() {
 		// Only printed in harsh-channel mode, keeping the default
 		// output byte-identical to pre-impair builds.
 		fmt.Printf("impairments: %s\n", prof)

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"testing"
-
-	"zigzag"
 )
 
 // TestThreeWayDecodesAllPayloads is the example-level smoke test: the
@@ -12,13 +10,6 @@ import (
 // through the online receiver, with the first two collisions stored
 // (undecodable alone) and the store drained by the third.
 func TestThreeWayDecodesAllPayloads(t *testing.T) {
-	// The demo exercises the generalized k-way path; pin the escape
-	// hatch off so the test also passes under ZIGZAG_PAIRWISE_SIC=1
-	// runs (where the sequence would stay stuck by design).
-	was := zigzag.PairwiseSIC()
-	zigzag.SetPairwiseSIC(false)
-	defer zigzag.SetPairwiseSIC(was)
-
 	out, err := run(1)
 	if err != nil {
 		t.Fatal(err)

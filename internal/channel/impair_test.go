@@ -5,20 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"zigzag/internal/dsp"
 	"zigzag/internal/dsp/kern"
 	"zigzag/internal/impair"
 )
-
-// forceImpairEnabled re-enables the impairment engine for tests and
-// benchmarks that assert impairment-active behavior, so the suite also
-// passes under the ZIGZAG_NO_IMPAIR=1 race leg.
-func forceImpairEnabled(t testing.TB) {
-	t.Helper()
-	was := impair.Disabled()
-	impair.SetDisabled(false)
-	t.Cleanup(func() { impair.SetDisabled(was) })
-}
 
 // impairScenario builds a deterministic two-emission collision through
 // realistic links.
@@ -67,39 +56,34 @@ func checksum(buf []complex128) uint64 {
 // moved to kern.MulTone; the previous Rotator-recurrence digest was
 // 0xa235ed69f93bc1bf, and the two agree to ≤1e-9 of the signal scale).
 // Any change to this value means the nil-impairment path's waveform
-// changed. (The -naive-interp and -naive-kernels paths reproduce the
-// default one only to tolerance, not bit for bit, so the hard golden
-// applies to the default path; the nil/empty/disabled mutual identity
-// below holds on all paths.)
+// changed. (The -naive-kernels path reproduces the default one only to
+// tolerance, not bit for bit, so the hard golden applies to the default
+// path; the nil/empty/zero-profile mutual identity below holds on both
+// kernel paths.)
 const staticMixGolden uint64 = 0x92e333dca7a40a96
 
 // TestMixNilImpairGolden pins the acceptance criterion "a nil
 // impairment chain is bit-identical to the static path": nil chain,
-// empty chain, and a fully configured but globally disabled chain must
-// all reproduce the static digest.
+// empty chain, and the chain of a zero impair.Profile must all
+// reproduce the static digest.
 func TestMixNilImpairGolden(t *testing.T) {
-	forceImpairEnabled(t)
 	render := func(configure func(a *Air)) uint64 {
 		air, ems, n := impairScenario(42)
 		configure(air)
 		return checksum(air.Mix(n, ems...))
 	}
 	static := render(func(a *Air) {})
-	if !dsp.NaiveInterp() && !kern.Naive() && static != staticMixGolden {
+	if !kern.Naive() && static != staticMixGolden {
 		t.Fatalf("static path digest %#x, want pinned %#x", static, staticMixGolden)
 	}
 	if got := render(func(a *Air) { a.Impair = &impair.Chain{} }); got != static {
 		t.Fatalf("empty chain digest %#x, want static %#x", got, static)
 	}
-	full := impair.Profile{Doppler: 3e-4, InterfDuty: 0.3, DriftRate: 1e-7, ADCBits: 8}.Chain()
-	full.Reset(7)
-	impair.SetDisabled(true)
-	got := render(func(a *Air) { a.Impair = full })
-	impair.SetDisabled(false)
-	if got != static {
-		t.Fatalf("disabled chain digest %#x, want static %#x", got, static)
+	if got := render(func(a *Air) { a.Impair = impair.Profile{}.Chain() }); got != static {
+		t.Fatalf("zero-profile chain digest %#x, want static %#x", got, static)
 	}
 	// And an *active* chain must not be identical (the hook actually runs).
+	full := impair.Profile{Doppler: 3e-4, InterfDuty: 0.3, DriftRate: 1e-7, ADCBits: 8}.Chain()
 	full.Reset(7)
 	if got := render(func(a *Air) { a.Impair = full }); got == static {
 		t.Fatal("active chain produced the static digest — impairments not applied")
@@ -110,7 +94,6 @@ func TestMixNilImpairGolden(t *testing.T) {
 // airs with identically seeded chains and rngs render identical
 // impaired mixes, and the trajectory depends on the chain seed.
 func TestMixImpairDeterminism(t *testing.T) {
-	forceImpairEnabled(t)
 	render := func(chainSeed int64) []complex128 {
 		air, ems, n := impairScenario(11)
 		ch := impair.Profile{Doppler: 5e-4, RicianK: 3, InterfDuty: 0.2, PhaseNoise: 1e-3}.Chain()
@@ -137,7 +120,6 @@ func TestMixImpairDeterminism(t *testing.T) {
 // through a full chain (fading, multipath, drift, interferer, ADC)
 // into a reused buffer allocates nothing once scratch is grown.
 func TestMixImpairAllocFree(t *testing.T) {
-	forceImpairEnabled(t)
 	air, ems, n := impairScenario(99)
 	ch := impair.Profile{
 		Doppler: 3e-4, RicianK: 2, MultipathDoppler: 2e-4,
@@ -160,7 +142,6 @@ func TestMixImpairAllocFree(t *testing.T) {
 // fully on. make bench-impair tracks the ratio; BENCH_impair.json
 // records it.
 func benchMix(b *testing.B, chain *impair.Chain) {
-	forceImpairEnabled(b)
 	air, ems, n := impairScenario(99)
 	air.Impair = chain
 	var dst []complex128

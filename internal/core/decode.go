@@ -105,8 +105,7 @@ type decoder struct {
 	marginSym int
 	iters     int
 	// kway enables the generalized ordering policy (see sic.go): set for
-	// decodes over three or more distinct packets unless the pairwise
-	// escape hatch is engaged.
+	// decodes over three or more distinct packets.
 	kway bool
 
 	// Reusable working storage (kept across decodes on the same
@@ -163,7 +162,7 @@ func (sc *Scratch) newDecoder(cfg Config, metas []PacketMeta, recs []*Reception)
 		pre:  cfg.PHY.PreambleBits,
 		pkts: d.pkts[:0],
 		recs: d.recs[:0],
-		kway: kwayActive(len(metas)),
+		kway: len(metas) > 2,
 
 		hdrBits:  d.hdrBits[:0],
 		spanKeep: d.spanKeep[:0],

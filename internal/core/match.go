@@ -131,25 +131,41 @@ type locateScratch struct {
 // the online Receiver passes its own locateScratch so repeated store
 // lookups allocate nothing in steady state.
 func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int, s *locateScratch) []LocateResult {
-	skip := (cfg.PHY.PreambleBits + modem.SymbolCount(modem.BPSK, frame.HeaderBits)) * cfg.PHY.SamplesPerSymbol
+	ref, skip := locateRef(cfg, stored, storedStart)
+	if ref == nil {
+		return nil
+	}
+	s.prof = fft.Correlate(s.prof, fresh, ref, 0, &s.corr)
+	return s.pick(cfg, s.prof, fresh, ref, skip, max)
+}
+
+// locateRef returns the stored packet's data window and the sample skip
+// from the packet start to it, or nil when no usable window exists.
+func locateRef(cfg Config, stored []complex128, storedStart float64) (ref []complex128, skip int) {
+	skip = (cfg.PHY.PreambleBits + modem.SymbolCount(modem.BPSK, frame.HeaderBits)) * cfg.PHY.SamplesPerSymbol
 	is := int(storedStart) + skip
 	if is < 0 || is >= len(stored) {
-		return nil
+		return nil, 0
 	}
 	w := MatchWindow
 	if rest := len(stored) - is; rest < w {
 		w = rest
 	}
 	if w < 128 {
-		return nil
+		return nil, 0
 	}
-	ref := stored[is : is+w]
+	return stored[is : is+w], skip
+}
+
+// pick normalizes prof, the correlation of ref against fresh, by the
+// local window energy and returns up to max best packet starts (none
+// for a silent ref).
+func (s *locateScratch) pick(cfg Config, prof, fresh, ref []complex128, skip, max int) []LocateResult {
+	w := len(ref)
 	refE := dsp.Energy(ref)
 	if refE == 0 {
 		return nil
 	}
-	s.prof = fft.Correlate(s.prof, fresh, ref, 0, &s.corr)
-	prof := s.prof
 	// Normalize per position by the local window energy.
 	var run float64
 	if cap(s.energy) < len(prof) {

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"zigzag/internal/dsp/fft"
+	"zigzag/internal/dsp"
 )
 
 // syntheticLocateScenario embeds the data window of a synthetic stored
@@ -35,13 +35,14 @@ func syntheticLocateScenario(seed int64, freshLen int) (cfg Config, stored []com
 
 // TestLocatePacketFFTMatchesNaive pins the rewiring of the wide-window
 // matcher: the FFT path must return the same candidate positions as the
-// naive kernel, with scores agreeing to rounding error.
+// naive kernel (dsp.CorrelateProfile), with scores agreeing to rounding
+// error.
 func TestLocatePacketFFTMatchesNaive(t *testing.T) {
 	cfg, stored, start, fresh, wantPos := syntheticLocateScenario(60, 1<<14)
 	got := LocatePacket(cfg, stored, start, fresh, 3)
-	fft.SetForceNaive(true)
-	want := LocatePacket(cfg, stored, start, fresh, 3)
-	fft.SetForceNaive(false)
+	ref, skip := locateRef(cfg, stored, start)
+	var s locateScratch
+	want := s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), fresh, ref, skip, 3)
 	if len(got) == 0 || got[0].Pos != wantPos {
 		t.Fatalf("FFT path: best candidate %+v, want pos %d", got, wantPos)
 	}
@@ -64,11 +65,11 @@ func TestLocatePacketFFTMatchesNaive(t *testing.T) {
 func BenchmarkLocatePacket(b *testing.B) {
 	cfg, stored, start, fresh, _ := syntheticLocateScenario(61, 1<<16)
 	b.Run("naive", func(b *testing.B) {
-		fft.SetForceNaive(true)
-		defer fft.SetForceNaive(false)
+		ref, skip := locateRef(cfg, stored, start)
+		var s locateScratch
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			LocatePacket(cfg, stored, start, fresh, 3)
+			s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), fresh, ref, skip, 3)
 		}
 	})
 	b.Run("fft", func(b *testing.B) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,35 +27,27 @@ func runHiddenPair(t *testing.T, z *Receiver, s *scenario) {
 }
 
 // TestReinitPreservesObservers pins the satellite fix: Reinit used to
-// nil the Trace hook, so a pooled receiver silently went dark after its
-// first recycle. Obs, Trace and the framer stats must all survive.
+// nil the trace hook, so a pooled receiver silently went dark after its
+// first recycle. Obs and the framer stats must both survive.
 func TestReinitPreservesObservers(t *testing.T) {
 	const noise = 0.05
 	s := newScenario(t, 23, 300, []float64{13, 13}, []float64{0.004, -0.003}, noise)
 	z := NewReceiver(s.cfg, onlineClients(s))
 
 	var events []obs.Event
-	var lines []string
 	fs := &obs.FramerStats{Samples: &obs.Counter{}}
 	z.Obs = obs.SinkFunc(func(ev obs.Event) { events = append(events, ev) })
-	z.Trace = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
 	z.SetFramerStats(fs)
 
 	z.Reinit(s.cfg, onlineClients(s))
 	if z.Obs == nil {
 		t.Fatal("Reinit dropped Obs")
 	}
-	if z.Trace == nil {
-		t.Fatal("Reinit dropped Trace (the historical bug)")
-	}
 
-	// The preserved observers must actually fire after the recycle...
+	// The preserved observer must actually fire after the recycle...
 	runHiddenPair(t, z, s)
 	if len(events) == 0 {
 		t.Fatal("no typed events after Reinit")
-	}
-	if len(lines) == 0 {
-		t.Fatal("no trace lines after Reinit")
 	}
 	// ...and the framer attachment must survive Reinit + SetStream.
 	z.Reinit(s.cfg, onlineClients(s))
@@ -68,47 +59,33 @@ func TestReinitPreservesObservers(t *testing.T) {
 }
 
 // TestTraceAdapterBitIdentity pins the printf surface across the typed
-// migration: every Trace line must be exactly obs.LegacyLine of the
-// corresponding typed event, in order, and the known outcome lines of
-// the canonical hidden pair must read exactly as the stringly hook
-// printed them.
+// migration: a trace adapter is now just a SinkFunc printing
+// Event.String, and the known outcome lines of the canonical hidden
+// pair must read exactly as the historical stringly hook printed them,
+// behind the "[rec N] " prefix.
 func TestTraceAdapterBitIdentity(t *testing.T) {
 	const noise = 0.05
 	s := newScenario(t, 23, 300, []float64{13, 13}, []float64{0.004, -0.003}, noise)
 	z := NewReceiver(s.cfg, onlineClients(s))
 
-	var events []obs.Event
 	var lines []string
-	z.Obs = obs.SinkFunc(func(ev obs.Event) { events = append(events, ev) })
-	z.Trace = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	z.Obs = obs.SinkFunc(func(ev obs.Event) { lines = append(lines, ev.String()) })
 	runHiddenPair(t, z, s)
 
-	var wantLines []string
-	for i := range events {
-		if line, ok := obs.LegacyLine(&events[i]); ok {
-			wantLines = append(wantLines, line)
-		}
-	}
-	if len(wantLines) == 0 {
-		t.Fatal("no legacy-mapped events emitted")
-	}
-	if len(lines) != len(wantLines) {
-		t.Fatalf("%d trace lines vs %d legacy events", len(lines), len(wantLines))
-	}
-	for i := range lines {
-		if lines[i] != wantLines[i] {
-			t.Fatalf("line %d:\n trace %q\n event %q", i, lines[i], wantLines[i])
-		}
-	}
 	// The decisive moments of the canonical run, verbatim.
-	joint := false
+	want := map[string]bool{
+		"[rec 1] single-reception decode: ok=0/2 occs=[40 740]": false,
+		"[rec 2] store 0: joint decode ok":                      false,
+	}
 	for _, l := range lines {
-		if l == "store 0: joint decode ok" {
-			joint = true
+		if _, ok := want[l]; ok {
+			want[l] = true
 		}
 	}
-	if !joint {
-		t.Fatalf("missing verbatim 'store 0: joint decode ok' line in %q", lines)
+	for l, seen := range want {
+		if !seen {
+			t.Errorf("missing verbatim %q line in %q", l, lines)
+		}
 	}
 }
 

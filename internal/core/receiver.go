@@ -77,18 +77,11 @@ type Receiver struct {
 
 	// Obs, when non-nil, receives the typed decode event stream:
 	// detection, store matching, chunk scheduling, peel outcomes,
-	// amplitude aging (see obs.Kind). With Obs nil and Trace nil the
-	// instrumented paths cost one nil check and allocate nothing.
+	// amplitude aging (see obs.Kind). With Obs nil the instrumented
+	// paths cost one nil check and allocate nothing.
 	// Preserved across Reinit — observers on pooled sessions survive
 	// receiver recycling.
 	Obs obs.Sink
-
-	// Trace, when non-nil, receives diagnostic lines about detection,
-	// matching and decode decisions. It is a thin printf adapter over
-	// the typed event stream: every line is an obs Event formatted
-	// through obs.LegacyLine, bit-identical to the historical output.
-	// Preserved across Reinit, like Obs.
-	Trace func(format string, args ...any)
 
 	// StreamStamp, when non-nil, is sampled as each reception is framed
 	// by Ingest and carried into the matching PollInfo.Stamp (a
@@ -133,24 +126,17 @@ type Receiver struct {
 	kwMatch []int
 }
 
-// obsOn reports whether any observer is attached; emission sites guard
+// obsOn reports whether an observer is attached; emission sites guard
 // on it so the disabled path is a nil check — no event construction, no
 // operand formatting, no allocation.
-func (z *Receiver) obsOn() bool { return z.Obs != nil || z.Trace != nil }
+func (z *Receiver) obsOn() bool { return z.Obs != nil }
 
-// emit publishes one decode event: Rec is stamped with the current
-// reception sequence, the typed sink gets the event first, and the
-// printf Trace adapter renders kinds that have a pinned legacy line
-// (obs.LegacyLine) exactly as the historical stringly hook did.
+// emit publishes one decode event, stamped with the current reception
+// sequence.
 func (z *Receiver) emit(ev obs.Event) {
 	ev.Rec = int64(z.recSeq)
 	if z.Obs != nil {
 		z.Obs.Emit(ev)
-	}
-	if z.Trace != nil {
-		if line, ok := obs.LegacyLine(&ev); ok {
-			z.Trace("%s", line)
-		}
 	}
 }
 
@@ -197,7 +183,7 @@ func NewReceiver(cfg Config, clients []Client) *Receiver {
 // would build — client table rebuilt, collision store emptied,
 // MaxStored back to its default — while keeping all working storage
 // (locator/synchronizer scratch, the decode session, stored-collision
-// buffers). The attached observers (Obs, Trace) are preserved: pooled
+// buffers). The attached observer (Obs) is preserved: pooled
 // simulation sessions recycle receivers across Monte-Carlo trials
 // through this, and a Reset must not silently detach whoever is
 // watching the decode stream.
@@ -619,13 +605,9 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 // joint decodes on an already-rare path). Duplicate assignments —
 // clients indistinguishable in scheme and CFO — are skipped.
 //
-// Disabled by the pairwise escape hatch, and a no-op for two-client
-// sets (the pairwise loop already covers those), which keeps k=2
-// behaviour bit-identical.
+// A no-op for two-client sets (the pairwise loop already covers
+// those), which keeps k=2 behaviour bit-identical.
 func (z *Receiver) tryKWayStore(rx []complex128, rec *Reception, clients []uint8) ([]Event, bool) {
-	if PairwiseSIC() {
-		return nil, false
-	}
 	for si, st := range z.stored {
 		k := len(st.clients)
 		if k < 3 {

@@ -1,17 +1,13 @@
 package core
 
-import (
-	"math"
-	"os"
-	"sync/atomic"
-)
+import "math"
 
 // The decode core runs one of two successive-interference-cancellation
 // policies:
 //
-//   - the legacy pairwise policy — chunk order decided purely by chunk
-//     length, scan order breaking ties — which every two-packet decode
-//     uses unconditionally, keeping k=2 bit-identical to the original
+//   - the pairwise policy — chunk order decided purely by chunk length,
+//     scan order breaking ties — which every two-packet decode uses
+//     unconditionally, keeping k=2 bit-identical to the original
 //     decoder by construction;
 //   - the generalized k-way policy for three or more simultaneous
 //     emissions (§7's extension beyond the canonical pair): equal-length
@@ -19,30 +15,6 @@ import (
 //     interferer, zero-power emissions are dropped at ingest, and the
 //     stall fallback ignores interferers that are already fully decoded
 //     (their signal is subtracted exactly before the forced chunk runs).
-//
-// ZIGZAG_PAIRWISE_SIC=1 (or SetPairwiseSIC, or the CLIs' -pairwise-sic
-// flag) forces every decode onto the legacy policy regardless of k, in
-// the style of the existing escape hatches (ZIGZAG_NAIVE_CORRELATE,
-// ZIGZAG_NAIVE_INTERP, ZIGZAG_NO_SESSION_POOL, ZIGZAG_NO_IMPAIR).
-var pairwiseSIC atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_PAIRWISE_SIC") == "1" {
-		pairwiseSIC.Store(true)
-	}
-}
-
-// SetPairwiseSIC forces (or releases) the legacy pairwise SIC policy
-// for all subsequent decodes. Safe for concurrent use.
-func SetPairwiseSIC(v bool) { pairwiseSIC.Store(v) }
-
-// PairwiseSIC reports whether the pairwise escape hatch is engaged.
-func PairwiseSIC() bool { return pairwiseSIC.Load() }
-
-// kwayActive reports whether the generalized k-way policy applies to a
-// decode over npackets distinct packets. Pair decodes always take the
-// legacy path, so the hatch only matters at k ≥ 3.
-func kwayActive(npackets int) bool { return npackets > 2 && !PairwiseSIC() }
 
 // fwdMargin scores an occurrence for the k-way decode order: the
 // packet's power over the strongest interferer in the same reception

@@ -9,16 +9,6 @@ import (
 	"zigzag/internal/phy"
 )
 
-// withPairwiseSIC runs f with the escape hatch in the given state,
-// restoring the previous state afterwards.
-func withPairwiseSIC(t *testing.T, on bool, f func()) {
-	t.Helper()
-	was := PairwiseSIC()
-	SetPairwiseSIC(on)
-	defer SetPairwiseSIC(was)
-	f()
-}
-
 // samePackets compares two decode outcomes field by field (bits, per
 // direction, source, completeness); Frame pointers are compared by
 // content.
@@ -34,42 +24,30 @@ func samePackets(t *testing.T, got, want []PacketResult) {
 	}
 }
 
-// TestPairwiseHatchK2BitIdentity pins the k=2 contract of the
-// generalized SIC framework: a two-packet decode takes the legacy
-// pairwise path by construction, so the generalized and -pairwise-sic
-// decodes must be bit-identical — and both must match the golden
-// (the exact transmitted bits, BER 0).
-func TestPairwiseHatchK2BitIdentity(t *testing.T) {
+// TestK2PairwiseSICGolden pins the k=2 contract of the generalized SIC
+// framework: a two-packet decode takes the pairwise chunk order by
+// construction, and it must reproduce the golden (the exact
+// transmitted bits, BER 0).
+func TestK2PairwiseSICGolden(t *testing.T) {
 	const noise = 0.05
 	s := newScenario(t, 61, 350, []float64{13, 13}, []float64{0.003, -0.002}, noise)
 	rng := rand.New(rand.NewSource(62))
 	rec1 := s.collide(t, rng, noise, []int{40, 40 + 800})
 	rec2 := s.collide(t, rng, noise, []int{40, 40 + 320})
 
-	var resGen, resPair *Result
-	withPairwiseSIC(t, false, func() {
-		r, err := Decode(s.cfg, s.metas, []*Reception{rec1, rec2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resGen = r
-	})
-	withPairwiseSIC(t, true, func() {
-		r, err := Decode(s.cfg, s.metas, []*Reception{rec1, rec2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resPair = r
-	})
-	samePackets(t, resGen.Packets, resPair.Packets)
-	if resGen.Iterations != resPair.Iterations {
-		t.Errorf("iterations %d vs %d", resGen.Iterations, resPair.Iterations)
+	resGen, err := Decode(s.cfg, s.metas, []*Reception{rec1, rec2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Golden: both paths reproduce the transmitted bits exactly.
 	if !resGen.AllOK() {
 		t.Fatalf("k=2 decode failed: %v / %v", resGen.Packets[0].Err, resGen.Packets[1].Err)
 	}
 	s.checkBER(t, resGen, 0)
+	// The chunk schedule of the golden decode: any change to the
+	// pairwise order shows up here first.
+	if resGen.Iterations != 56 {
+		t.Errorf("iterations = %d, want the golden 56", resGen.Iterations)
+	}
 	for i := range resGen.Packets {
 		if !frame.SamePacket(resGen.Packets[i].Frame, s.frames[i]) {
 			t.Errorf("packet %d content mismatch against golden", i)
@@ -100,32 +78,25 @@ func TestKWayZeroPowerEmissionMatchesPair(t *testing.T) {
 
 	// The same receptions viewed as a k=3 decode: a third client is
 	// believed present, but its channel is a fade to zero. The property
-	// under test is the generalized policy's ingest drop, so pin the
-	// hatch off (the test must also pass under ZIGZAG_PAIRWISE_SIC=1
-	// race runs).
+	// under test is the generalized policy's ingest drop.
 	metas3 := append(append([]PacketMeta(nil), s.metas...), PacketMeta{Scheme: s.metas[0].Scheme})
 	zero := Occurrence{Packet: 2, Sync: phy.Sync{Start: 40, RefPos: 40}}
 	r1 := &Reception{Samples: rec1.Samples, Packets: append(append([]Occurrence(nil), rec1.Packets...), zero)}
 	r2 := &Reception{Samples: rec2.Samples, Packets: append(append([]Occurrence(nil), rec2.Packets...), zero)}
-	withPairwiseSIC(t, false, func() {
-		res, err := Decode(s.cfg, metas3, []*Reception{r1, r2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePackets(t, res.Packets[:2], ref.Packets)
-		if res.Packets[2].OK() {
-			t.Fatal("zero-power phantom decoded a frame")
-		}
-	})
+	res, err := Decode(s.cfg, metas3, []*Reception{r1, r2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePackets(t, res.Packets[:2], ref.Packets)
+	if res.Packets[2].OK() {
+		t.Fatal("zero-power phantom decoded a frame")
+	}
 }
 
 // TestOnlineReceiverThreeWayStore exercises the k-way store matcher
 // end to end: three equal-power senders collide three times with
 // different offsets; the receiver stores the first two collisions and
 // the third assembles all three receptions into one k=3 joint decode.
-// With the pairwise hatch engaged the same sequence must stay stuck —
-// one stored collision plus the fresh reception cannot resolve three
-// packets.
 func TestOnlineReceiverThreeWayStore(t *testing.T) {
 	const noise = 0.05
 	s := newScenario(t, 13, 250, []float64{13, 13, 13}, []float64{0.003, -0.002, 0.001}, noise)
@@ -142,57 +113,41 @@ func TestOnlineReceiverThreeWayStore(t *testing.T) {
 	rx2 := replay().render(t, rng, noise, []int{40, 40 + 300, 40 + 2100})
 	rx3 := replay().render(t, rng, noise, []int{40 + 900, 40, 40 + 1800})
 
-	withPairwiseSIC(t, false, func() {
-		z := NewReceiver(s.cfg, onlineClients(s))
-		for _, ev := range z.Receive(rx1) {
-			if ev.Frame != nil {
-				t.Fatalf("first three-way collision should not decode, got src %d", ev.Frame.Src)
-			}
+	z := NewReceiver(s.cfg, onlineClients(s))
+	for _, ev := range z.Receive(rx1) {
+		if ev.Frame != nil {
+			t.Fatalf("first three-way collision should not decode, got src %d", ev.Frame.Src)
 		}
-		if z.StoredCollisions() != 1 {
-			t.Fatalf("stored after rx1 = %d, want 1", z.StoredCollisions())
+	}
+	if z.StoredCollisions() != 1 {
+		t.Fatalf("stored after rx1 = %d, want 1", z.StoredCollisions())
+	}
+	for _, ev := range z.Receive(rx2) {
+		if ev.Frame != nil {
+			t.Fatalf("second three-way collision should not decode, got src %d", ev.Frame.Src)
 		}
-		for _, ev := range z.Receive(rx2) {
-			if ev.Frame != nil {
-				t.Fatalf("second three-way collision should not decode, got src %d", ev.Frame.Src)
-			}
+	}
+	if z.StoredCollisions() != 2 {
+		t.Fatalf("stored after rx2 = %d, want 2", z.StoredCollisions())
+	}
+	got := map[uint8]bool{}
+	for _, ev := range z.Receive(rx3) {
+		if ev.Frame == nil {
+			t.Fatalf("undecoded packet in k=3 joint decode: %v", ev.Result.Err)
 		}
-		if z.StoredCollisions() != 2 {
-			t.Fatalf("stored after rx2 = %d, want 2", z.StoredCollisions())
+		if ev.Via != ViaZigzag {
+			t.Fatalf("via = %s, want zigzag", ev.Via)
 		}
-		got := map[uint8]bool{}
-		for _, ev := range z.Receive(rx3) {
-			if ev.Frame == nil {
-				t.Fatalf("undecoded packet in k=3 joint decode: %v", ev.Result.Err)
-			}
-			if ev.Via != ViaZigzag {
-				t.Fatalf("via = %s, want zigzag", ev.Via)
-			}
-			got[ev.Frame.Src] = true
+		got[ev.Frame.Src] = true
+	}
+	for i := range s.frames {
+		if !got[s.frames[i].Src] {
+			t.Fatalf("packet from src %d missing: got %v", s.frames[i].Src, got)
 		}
-		for i := range s.frames {
-			if !got[s.frames[i].Src] {
-				t.Fatalf("packet from src %d missing: got %v", s.frames[i].Src, got)
-			}
-		}
-		if z.StoredCollisions() != 0 {
-			t.Fatalf("store not drained: %d", z.StoredCollisions())
-		}
-	})
-
-	withPairwiseSIC(t, true, func() {
-		z := NewReceiver(s.cfg, onlineClients(s))
-		z.Receive(rx1)
-		z.Receive(rx2)
-		for _, ev := range z.Receive(rx3) {
-			if ev.Frame != nil {
-				t.Fatalf("pairwise hatch decoded a three-way collision (src %d)", ev.Frame.Src)
-			}
-		}
-		if z.StoredCollisions() != 3 {
-			t.Fatalf("pairwise hatch: stored = %d, want 3", z.StoredCollisions())
-		}
-	})
+	}
+	if z.StoredCollisions() != 0 {
+		t.Fatalf("store not drained: %d", z.StoredCollisions())
+	}
 }
 
 // TestLearnAmplitudeDecay is the stale-amplitude regression (ROADMAP

@@ -3,9 +3,7 @@ package fft
 import (
 	"math/bits"
 	"math/cmplx"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"zigzag/internal/dsp"
 )
@@ -25,26 +23,6 @@ const (
 	// CrossoverMinOutputs is the minimum profile length for the FFT path.
 	CrossoverMinOutputs = 96
 )
-
-// forceNaive pins every Correlate call to the naive kernel — the
-// debugging escape hatch when a detection anomaly needs to be isolated
-// from frequency-domain rounding. Set programmatically via
-// SetForceNaive or at startup with ZIGZAG_NAIVE_CORRELATE=1.
-var forceNaive atomic.Bool
-
-func init() {
-	if v := os.Getenv("ZIGZAG_NAIVE_CORRELATE"); v != "" && v != "0" {
-		forceNaive.Store(true)
-	}
-}
-
-// SetForceNaive pins (or unpins) every Correlate call to the naive
-// O(N·M) kernel, bypassing the size heuristic. It is safe for
-// concurrent use.
-func SetForceNaive(v bool) { forceNaive.Store(v) }
-
-// ForceNaive reports whether the naive kernel is pinned.
-func ForceNaive() bool { return forceNaive.Load() }
 
 // Scratch holds the reusable working storage of the correlation engine:
 // the conjugated pre-rotated reference, its spectrum, and one
@@ -104,7 +82,7 @@ func Correlate(dst, y, ref []complex128, freqStep float64, s *Scratch) []complex
 		return nil
 	}
 	out := len(y) - m + 1
-	if forceNaive.Load() || m < CrossoverRefLen || out < CrossoverMinOutputs {
+	if m < CrossoverRefLen || out < CrossoverMinOutputs {
 		if s == nil {
 			return dsp.CorrelateWithRef(dst, y, dsp.ConjRotatedRef(nil, ref, freqStep))
 		}

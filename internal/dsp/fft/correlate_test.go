@@ -88,29 +88,6 @@ func TestCorrelateEdgeCases(t *testing.T) {
 	assertProfilesMatch(t, "single-output", got, want, 1e-9*profScale(y, ref))
 }
 
-func TestForceNaive(t *testing.T) {
-	defer SetForceNaive(false)
-	r := rand.New(rand.NewSource(10))
-	ref := randVec(r, 256)
-	y := randVec(r, 8192)
-	SetForceNaive(true)
-	if !ForceNaive() {
-		t.Fatal("ForceNaive not set")
-	}
-	forced := Correlate(nil, y, ref, 0.004, nil)
-	want := dsp.CorrelateProfile(y, ref, 0.004)
-	// Forced-naive dispatch shares the exact code path with the
-	// reference kernel, so the results are bit-identical.
-	for i := range want {
-		if forced[i] != want[i] {
-			t.Fatalf("forced-naive profile[%d] = %v, want bit-identical %v", i, forced[i], want[i])
-		}
-	}
-	SetForceNaive(false)
-	fftProf := Correlate(nil, y, ref, 0.004, nil)
-	assertProfilesMatch(t, "unforced", fftProf, want, 1e-9*profScale(y, ref))
-}
-
 func TestCorrelateDeterministicAcrossScratchReuse(t *testing.T) {
 	// The same inputs must give byte-identical profiles no matter how
 	// the scratch has been used before — the determinism suites depend

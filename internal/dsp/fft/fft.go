@@ -14,8 +14,7 @@
 // detection allocates nothing either way.
 //
 // Correlate dispatches between this engine and the naive kernel by a
-// size heuristic; see its documentation and SetForceNaive for the
-// debugging escape hatch.
+// size heuristic; see its documentation.
 package fft
 
 import (

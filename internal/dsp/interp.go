@@ -62,8 +62,7 @@ func (ip Interpolator) At(x []complex128, pos float64) complex128 {
 // This is how the channel model applies a sampling offset, and how ZigZag
 // re-creates the receiver's view of a re-encoded chunk (§4.2.3b). A
 // constant delay means a constant fractional part, so the whole shift
-// runs on a single polyphase FIR (see Resampler); SetNaiveInterp pins it
-// back to per-sample evaluation.
+// runs on a single polyphase FIR (see Resampler).
 func (ip Interpolator) Shift(dst, x []complex128, mu float64) []complex128 {
 	dst = ensure(dst, len(x))
 	if mu == 0 {

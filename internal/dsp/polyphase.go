@@ -2,9 +2,7 @@ package dsp
 
 import (
 	"math"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"zigzag/internal/dsp/kern"
 )
@@ -24,27 +22,6 @@ import (
 // identity for the Hann window reduce the 2·Taps sin/cos evaluations of
 // the direct kernel to three transcendentals per phase, exact to
 // rounding error.
-
-// forceNaiveInterp pins every resampling fast path back to per-sample
-// Interpolator.At evaluation — the debugging escape hatch when a decode
-// anomaly needs to be isolated from the polyphase engine. Set
-// programmatically via SetNaiveInterp or at startup with
-// ZIGZAG_NAIVE_INTERP=1.
-var forceNaiveInterp atomic.Bool
-
-func init() {
-	if v := os.Getenv("ZIGZAG_NAIVE_INTERP"); v != "" && v != "0" {
-		forceNaiveInterp.Store(true)
-	}
-}
-
-// SetNaiveInterp pins (or unpins) all resampling to the naive
-// per-sample windowed-sinc evaluation, bypassing the polyphase engine.
-// It is safe for concurrent use.
-func SetNaiveInterp(v bool) { forceNaiveInterp.Store(v) }
-
-// NaiveInterp reports whether the naive interpolation path is pinned.
-func NaiveInterp() bool { return forceNaiveInterp.Load() }
 
 // Polyphase is the polyphase decomposition of the Hann-windowed sinc
 // interpolation kernel with one-sided support taps: the per-tap
@@ -141,8 +118,8 @@ func (pp *Polyphase) Kernel(dst []float64, mu float64) []float64 {
 }
 
 // Resampler evaluates fractional-delay interpolation over whole sample
-// grids, dispatching between the polyphase engine and the naive
-// per-sample kernel (see SetNaiveInterp). It owns the phase-FIR scratch
+// grids on the polyphase engine; Interpolator.At is its per-sample
+// reference, which the tests pin it against. It owns the phase-FIR scratch
 // so steady-state resampling allocates nothing; a Resampler must not be
 // shared by concurrent goroutines. The zero value with the desired
 // Interp is ready to use.
@@ -185,12 +162,6 @@ func (rs *Resampler) bank(t int) *Polyphase {
 func (rs *Resampler) EvalGrid(dst, x []complex128, pos0 float64, n int) []complex128 {
 	dst = ensure(dst, n)
 	if n <= 0 {
-		return dst
-	}
-	if forceNaiveInterp.Load() {
-		for i := range dst {
-			dst[i] = rs.Interp.At(x, pos0+float64(i))
-		}
 		return dst
 	}
 	base0 := int(math.Floor(pos0))
@@ -283,12 +254,6 @@ func (rs *Resampler) EvalGrid(dst, x []complex128, pos0 float64, n int) []comple
 // reused when its capacity allows and must not alias x.
 func (rs *Resampler) EvalDrift(dst, x []complex128, mu0, drift float64) []complex128 {
 	dst = ensure(dst, len(x))
-	if forceNaiveInterp.Load() {
-		for n := range dst {
-			dst[n] = rs.Interp.At(x, float64(n)+mu0+float64(n)*drift)
-		}
-		return dst
-	}
 	t := rs.Interp.taps()
 	pp := rs.bank(t)
 	if cap(rs.coef) < 2*t {

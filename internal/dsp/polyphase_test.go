@@ -132,31 +132,15 @@ func FuzzEvalGridMatchesDirect(f *testing.F) {
 	})
 }
 
-// TestShiftPathsAgree pins the two dispatch arms of Shift/ShiftDrift
-// against each other through the public API and checks the escape-hatch
-// plumbing.
+// TestShiftPathsAgree pins Shift and ShiftDrift, through the public
+// API, against per-sample Interpolator.At evaluation.
 func TestShiftPathsAgree(t *testing.T) {
-	was := NaiveInterp()
-	defer SetNaiveInterp(was)
-	SetNaiveInterp(false)
 	x := bandlimited(300, 83)
 	ip := Interpolator{Taps: 5}
-	fast := ip.Shift(nil, x, 0.41)
-	fastD := ip.ShiftDrift(nil, x, -0.3, 7e-4)
-	SetNaiveInterp(true)
-	if !NaiveInterp() {
-		t.Fatal("SetNaiveInterp(true) not observed")
-	}
-	naive := ip.Shift(nil, x, 0.41)
-	naiveD := ip.ShiftDrift(nil, x, -0.3, 7e-4)
-	for i := range x {
-		if e := absC(fast[i] - naive[i]); e > 1e-12 {
-			t.Fatalf("Shift paths differ at %d by %g", i, e)
-		}
-		if e := absC(fastD[i] - naiveD[i]); e > 1e-12 {
-			t.Fatalf("ShiftDrift paths differ at %d by %g", i, e)
-		}
-	}
+	checkAgainstAt(t, ip, x, ip.Shift(nil, x, 0.41),
+		func(i int) float64 { return float64(i) + 0.41 }, 1e-12, "Shift")
+	checkAgainstAt(t, ip, x, ip.ShiftDrift(nil, x, -0.3, 7e-4),
+		func(i int) float64 { return float64(i) - 0.3 + float64(i)*7e-4 }, 1e-12, "ShiftDrift")
 }
 
 // TestRotatorMatchesExp checks the recurrence against per-sample

@@ -86,15 +86,6 @@ func (c bitCounts) rate() float64 {
 	return float64(c.errBits) / float64(c.totBits)
 }
 
-func sumCounts(cs []bitCounts) bitCounts {
-	var t bitCounts
-	for _, c := range cs {
-		t.errBits += c.errBits
-		t.totBits += c.totBits
-	}
-	return t
-}
-
 // berAt measures ZigZag's BER over collision pairs at a symmetric SNR.
 // Pairs run as independent trials on the worker pool, each on its
 // worker's pooled session.

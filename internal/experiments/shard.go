@@ -19,14 +19,9 @@ import (
 // streaming reducer (memory O(workers), not O(trials)), and merge the
 // partial counts to the byte-identical figure: per-trial seeds derive
 // from the global trial index, so shard boundaries never move a random
-// draw.
-//
-// The -legacy-metrics hatch (ZIGZAG_LEGACY_METRICS=1) pins the
-// historical path instead: materialize one bitCounts per trial
-// (session.MapShard, O(trials) memory) and fold serially. Both paths
-// sum the same integers over the same trials, so they are bit-identical
-// — which is exactly what makes the hatch a trustworthy oracle for the
-// reducer migration.
+// draw. Materializing one bitCounts per trial and folding serially sums
+// the same integers over the same trials; the tests use that as the
+// reducer's oracle.
 
 // Shard names one slice of a sweep's trial space: shard Index of
 // Shards. The zero value (or Shards <= 1) is the whole sweep.
@@ -114,15 +109,10 @@ func addCounts(a, b bitCounts) bitCounts {
 }
 
 // reduceCounts runs fn over the shard's slice of a trials-long sweep on
-// pooled sessions and returns the summed tallies. The streaming path
-// holds O(workers) state; the -legacy-metrics hatch pins the historical
-// materialize-then-fold path, bit-identically.
+// pooled sessions and returns the summed tallies, holding O(workers)
+// state.
 func reduceCounts(cfg core.Config, trials int, sh Shard, workers int, baseSeed int64, fn func(sess *session.Session, trial int) bitCounts) bitCounts {
-	b := sh.rangeOf(trials)
-	if metrics.LegacyEnabled() {
-		return sumCounts(session.MapShard(cfg, b, workers, baseSeed, fn))
-	}
-	return session.ReduceShard(cfg, b, workers, baseSeed,
+	return session.ReduceShard(cfg, sh.rangeOf(trials), workers, baseSeed,
 		func() bitCounts { return bitCounts{} },
 		func(sess *session.Session, acc bitCounts, trial int) bitCounts {
 			return addCounts(acc, fn(sess, trial))

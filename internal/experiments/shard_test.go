@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"zigzag/internal/metrics"
+	"zigzag/internal/bitutil"
+	"zigzag/internal/core"
+	"zigzag/internal/session"
 )
 
 // mergeParts runs a counts function shard by shard and merges the
@@ -76,26 +78,48 @@ func TestKWayShardInvariant(t *testing.T) {
 	}
 }
 
-// TestLegacyMetricsOracle pins the -legacy-metrics escape hatch: the
-// historical materialize-then-fold path and the streaming reducer sum
-// the same integers over the same trials, so their tallies are
-// bit-identical — sharded or not. This is what makes the hatch a
-// trustworthy rollback AND the oracle that validates the migration.
-func TestLegacyMetricsOracle(t *testing.T) {
-	if metrics.LegacyEnabled() {
-		t.Skip("ZIGZAG_LEGACY_METRICS already set; oracle needs both paths")
+// sumCounts is the historical materialize-then-fold path: one bitCounts
+// per trial (session.MapShard, O(trials) memory), folded serially.
+func sumCounts(cs []bitCounts) bitCounts {
+	var t bitCounts
+	for _, c := range cs {
+		t.errBits += c.errBits
+		t.totBits += c.totBits
 	}
-	sc := scaled(2)
-	stream53 := Fig53Counts(sc, 11, Shard{})
-	streamHarsh := HarshCounts(sc, 7, 2, Shard{Shards: 2, Index: 1})
+	return t
+}
 
-	metrics.SetLegacy(true)
-	defer metrics.SetLegacy(false)
-	if got := Fig53Counts(sc, 11, Shard{}); !reflect.DeepEqual(got, stream53) {
-		t.Fatalf("legacy fig5-3 counts diverged from streaming\nstream: %+v\nlegacy: %+v", stream53, got)
+// TestLegacyMetricsOracle pins the streaming reducer against the
+// historical materialize-then-fold path: both sum the same integers
+// over the same trials, so their tallies are bit-identical, sharded or
+// not, at any worker count. The trial decodes a collision pair on the
+// pooled session, so a session reused across trials differently by
+// the two schedulers would show.
+func TestLegacyMetricsOracle(t *testing.T) {
+	cfg := core.DefaultConfig()
+	trial := func(sess *session.Session, _ int) bitCounts {
+		s := newPairScenario(sess, 60, []float64{harshSNR, harshSNR}, 0.05)
+		r1, r2 := s.collisionPair(sess.Rng)
+		res, err := sess.Decode(s.metas, s.pair(r1, r2))
+		var c bitCounts
+		for i := range s.truth {
+			c.totBits += len(s.truth[i])
+			if err != nil || i >= len(res.Packets) {
+				c.errBits += len(s.truth[i]) / 2
+				continue
+			}
+			c.errBits += int(bitutil.BitErrorRate(s.truth[i], res.Packets[i].Bits) * float64(len(s.truth[i])))
+		}
+		return c
 	}
-	if got := HarshCounts(sc, 7, 2, Shard{Shards: 2, Index: 1}); !reflect.DeepEqual(got, streamHarsh) {
-		t.Fatalf("legacy harsh shard counts diverged from streaming\nstream: %+v\nlegacy: %+v", streamHarsh, got)
+	const trials = 5
+	for _, sh := range []Shard{{}, {Shards: 2, Index: 0}, {Shards: 2, Index: 1}} {
+		for _, workers := range []int{1, 2} {
+			want := sumCounts(session.MapShard(cfg, sh.rangeOf(trials), workers, 7, trial))
+			if got := reduceCounts(cfg, trials, sh, workers, 7, trial); got != want {
+				t.Fatalf("shard %+v workers %d: streaming %+v, materialized %+v", sh, workers, got, want)
+			}
+		}
 	}
 }
 

@@ -1,33 +1,29 @@
-// Package hatch is the single registry of the repository's escape
-// hatches: the debugging/bisection switches that pin an engine to its
-// naive or legacy reference path. Each hatch has exactly one flag
-// name, one ZIGZAG_* environment variable (derived from the flag name,
-// so the two can never drift), and one setter/getter pair in the
-// package that owns the path. The CLIs wire every hatch with a single
-// Bind call instead of hand-maintaining flag lists.
+// Package hatch is the single registry of the repository's runtime
+// switches: the two an operator may really flip on a running build.
+// naive-kernels pins the DSP kernel layer to its scalar references,
+// which agree only to tolerance and so cannot be a test-only oracle;
+// no-obs detaches the observability layer. Every other reference path
+// (the naive correlator, per-sample interpolation, unpooled sessions,
+// pairwise SIC at k ≥ 3, materialized metrics, one-shot ingest) lives
+// in the tests as an oracle, not in the program. Each hatch has exactly
+// one flag name, one ZIGZAG_* environment variable (derived from the
+// flag name, so the two can never drift), and one setter/getter pair
+// in the package that owns the path. The CLIs wire every hatch with a
+// single Bind call.
 //
 // Precedence discipline, shared by every hatch: the environment
-// variable is read once at process init by the owning package; an
-// explicit `-<hatch>` flag forces the hatch ON; an *absent* flag never
-// touches the state, so a bare CLI invocation cannot clobber a
-// ZIGZAG_*=1 environment. (Two of the historical CLI wirings passed
-// the flag's default straight to the setter and silently cleared the
-// env setting — centralizing here is what fixed that.)
+// variable is read once at process init by the owning package, and any
+// value other than "" or "0" sets the hatch; an explicit `-<hatch>`
+// flag forces the hatch ON; an *absent* flag never touches the state,
+// so a bare CLI invocation cannot clobber the environment.
 package hatch
 
 import (
 	"flag"
 	"strings"
 
-	"zigzag/internal/core"
-	"zigzag/internal/dsp"
-	"zigzag/internal/dsp/fft"
 	"zigzag/internal/dsp/kern"
-	"zigzag/internal/impair"
-	"zigzag/internal/metrics"
 	"zigzag/internal/obs"
-	"zigzag/internal/serve"
-	"zigzag/internal/session"
 )
 
 // Hatch is one escape hatch: a flag name, its derived environment
@@ -57,30 +53,9 @@ func mk(name, help string, set func(bool), get func() bool) Hatch {
 
 // registry lists every hatch in stable (documentation) order.
 var registry = []Hatch{
-	mk("naive-correlate",
-		"pin the detection stack to the naive O(N·M) correlator instead of the FFT engine (debugging)",
-		fft.SetForceNaive, fft.ForceNaive),
-	mk("naive-interp",
-		"pin resampling to the naive per-sample windowed-sinc kernel instead of the polyphase engine (debugging)",
-		dsp.SetNaiveInterp, dsp.NaiveInterp),
 	mk("naive-kernels",
 		"pin the DSP kernel layer (oscillator banks, packed FIR/rotation, batched emission impairment) to its per-sample scalar reference paths (debugging)",
 		kern.SetNaive, kern.Naive),
-	mk("no-session-pool",
-		"rebuild the simulation world per trial instead of reusing pooled per-worker sessions (debugging/benchmarking)",
-		session.SetPoolDisabled, session.PoolDisabled),
-	mk("no-impair",
-		"globally disable the time-varying impairment engine (static paper channel, bit-identical to pre-impair builds)",
-		impair.SetDisabled, impair.Disabled),
-	mk("pairwise-sic",
-		"force the legacy pairwise SIC chunk-ordering policy for every decode (escape hatch for the generalized k-way framework)",
-		core.SetPairwiseSIC, core.PairwiseSIC),
-	mk("legacy-metrics",
-		"pin metrics collection to the historical in-memory Sample path instead of the streaming reducers (bit-identical escape hatch)",
-		metrics.SetLegacy, metrics.LegacyEnabled),
-	mk("oneshot-ingest",
-		"pin the streaming serve engine to the one-shot Receive wrapper instead of the Ingest/Poll front end (bit-identical escape hatch)",
-		serve.SetOneshotIngest, serve.OneshotIngest),
 	mk("no-obs",
 		"globally disable the structured observability layer (no event emission, no metric attachment; bit-identical hot path)",
 		obs.SetDisabled, obs.Disabled),

@@ -23,8 +23,8 @@ func saveAll() func() {
 // var is mechanically derived from its flag name, names are unique,
 // and every entry is fully wired.
 func TestRegistryShape(t *testing.T) {
-	if len(registry) != 9 {
-		t.Fatalf("registry has %d hatches, want 9", len(registry))
+	if len(registry) != 2 || registry[0].Name != "naive-kernels" || registry[1].Name != "no-obs" {
+		t.Fatalf("registry = %v, want exactly naive-kernels and no-obs", registry)
 	}
 	seen := map[string]bool{}
 	for _, h := range registry {
@@ -39,8 +39,8 @@ func TestRegistryShape(t *testing.T) {
 			t.Fatalf("hatch %q env = %q, want derived %q", h.Name, h.Env, want)
 		}
 	}
-	if want := "ZIGZAG_NAIVE_CORRELATE"; EnvFor("naive-correlate") != want {
-		t.Fatalf("EnvFor derivation changed: %q", EnvFor("naive-correlate"))
+	if want := "ZIGZAG_NAIVE_KERNELS"; EnvFor("naive-kernels") != want {
+		t.Fatalf("EnvFor derivation changed: %q", EnvFor("naive-kernels"))
 	}
 }
 
@@ -66,22 +66,22 @@ func TestSetGetRoundTrip(t *testing.T) {
 // forced on (as ZIGZAG_*=1 at process init would have).
 func TestBindAppliesExplicitFlagsOnly(t *testing.T) {
 	defer saveAll()()
-	for _, h := range registry {
-		h.Set(false)
-	}
-	registry[1].Set(true) // stands in for ZIGZAG_NAIVE_INTERP=1
+	for _, argv := range [][]string{nil, {"-" + registry[0].Name}} {
+		registry[0].Set(false)
+		registry[1].Set(true) // stands in for ZIGZAG_NO_OBS=1
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Bind(fs)
-	if err := fs.Parse([]string{"-" + registry[0].Name, "-" + registry[7].Name}); err != nil {
-		t.Fatal(err)
-	}
-	apply()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		apply := Bind(fs)
+		if err := fs.Parse(argv); err != nil {
+			t.Fatal(err)
+		}
+		apply()
 
-	for i, h := range registry {
-		want := i == 0 || i == 7 || i == 1
-		if h.Get() != want {
-			t.Fatalf("hatch %q = %v after apply, want %v", h.Name, h.Get(), want)
+		if got, want := registry[0].Get(), len(argv) > 0; got != want {
+			t.Fatalf("argv %q: hatch %q = %v after apply, want %v", argv, registry[0].Name, got, want)
+		}
+		if !registry[1].Get() {
+			t.Fatalf("argv %q: absent flag cleared hatch %q", argv, registry[1].Name)
 		}
 	}
 }

@@ -19,9 +19,9 @@
 // Models compose into a Chain that the channel's Air applies beneath
 // the static per-link parameters: link models transform each emission's
 // rendered samples before mixing, front-end models transform the mixed
-// buffer after noise. A nil (or empty, or globally disabled) chain is
-// bit-identical to the static path — the channel package never calls
-// into an inactive impairer.
+// buffer after noise. A nil (or empty) chain is bit-identical to the
+// static path — the channel package never calls into an inactive
+// impairer.
 //
 // # Determinism
 //
@@ -34,16 +34,10 @@
 // structs hold only scratch buffers (fully overwritten before reads),
 // so a model reused across trials is observationally identical to a
 // fresh one.
-//
-// Escape hatch: ZIGZAG_NO_IMPAIR=1 (or -no-impair on the CLIs, via
-// SetDisabled) deactivates every chain process-wide, restoring the
-// static channel even when a chain is installed.
 package impair
 
 import (
 	"math"
-	"os"
-	"sync/atomic"
 
 	"zigzag/internal/runner"
 )
@@ -96,12 +90,11 @@ func (c *Chain) Reset(seed int64) {
 }
 
 // Active reports whether the chain would transform anything: false for
-// a nil chain, an empty chain, or when impairment is globally
-// disabled. The channel's Air consults it once per reception and skips
-// every hook of an inactive chain, which is what keeps the nil path
-// bit-identical to the static channel.
+// a nil or empty chain. The channel's Air consults it once per
+// reception and skips every hook of an inactive chain, which is what
+// keeps the nil path bit-identical to the static channel.
 func (c *Chain) Active() bool {
-	return c != nil && !Disabled() && (len(c.Link) > 0 || len(c.Front) > 0)
+	return c != nil && (len(c.Link) > 0 || len(c.Front) > 0)
 }
 
 // BeginReception advances the chain to the next reception window:
@@ -153,22 +146,6 @@ func (c *Chain) ImpairFront(buf []complex128) {
 		fm.ApplyFront(runner.TrialSeed(c.recSeed, saltFront+m), buf)
 	}
 }
-
-var disabled atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_NO_IMPAIR") == "1" {
-		disabled.Store(true)
-	}
-}
-
-// SetDisabled force-deactivates every impairment chain process-wide
-// (the -no-impair escape hatch): chains report inactive and the
-// channel falls back to the static path, bit-identically.
-func SetDisabled(v bool) { disabled.Store(v) }
-
-// Disabled reports whether impairment is globally disabled.
-func Disabled() bool { return disabled.Load() }
 
 // stream is the package's allocation-free random source: the runner's
 // splitmix64 generator core (runner.Splitmix64 — one definition, so

@@ -6,17 +6,6 @@ import (
 	"testing"
 )
 
-// forceEnabled re-enables the engine for tests that assert
-// impairment-active behavior, so the suite also passes under the
-// ZIGZAG_NO_IMPAIR=1 race leg (which otherwise verifies the disabled
-// path end to end).
-func forceEnabled(t *testing.T) {
-	t.Helper()
-	was := Disabled()
-	SetDisabled(false)
-	t.Cleanup(func() { SetDisabled(was) })
-}
-
 // testBuf returns a deterministic non-trivial complex buffer.
 func testBuf(n int, seed int64) []complex128 {
 	rng := newStream(seed)
@@ -172,10 +161,9 @@ func equal(a, b []complex128) bool {
 	return true
 }
 
-// TestInactiveChain pins Active() for nil, empty, and globally
-// disabled chains.
+// TestInactiveChain pins Active() for nil, empty and configured
+// chains.
 func TestInactiveChain(t *testing.T) {
-	forceEnabled(t)
 	var nilChain *Chain
 	if nilChain.Active() {
 		t.Fatal("nil chain reported active")
@@ -187,16 +175,10 @@ func TestInactiveChain(t *testing.T) {
 	if !c.Active() {
 		t.Fatal("configured chain reported inactive")
 	}
-	SetDisabled(true)
-	if c.Active() {
-		t.Fatal("disabled chain reported active")
-	}
-	SetDisabled(false)
 }
 
 // TestProfileChain pins the Profile → Chain construction.
 func TestProfileChain(t *testing.T) {
-	forceEnabled(t)
 	if (Profile{}).Chain() != nil {
 		t.Fatal("empty profile built a chain")
 	}

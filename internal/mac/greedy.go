@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"zigzag/internal/runner"
-	"zigzag/internal/session"
 )
 
 // This file implements the offset-domain simulation behind Fig 4-7: how
@@ -282,11 +281,6 @@ func GreedyFailureProbability(n, cw, length, trials int, mode BackoffMode, seed 
 	fails := runner.SumIntLocal(trials, runner.Options{Workers: workers, BaseSeed: seed},
 		func() *greedyScratch { return &greedyScratch{} }, nil,
 		func(sc *greedyScratch, _ int, rng *rand.Rand) int {
-			if session.PoolDisabled() {
-				// Escape hatch parity: rebuild the working sets per
-				// trial, the pre-scratch cost model.
-				sc = &greedyScratch{}
-			}
 			offsets := sc.offsets(n)
 			for c := 0; c < n; c++ {
 				w := cw

@@ -20,8 +20,7 @@ const MaxAcceptableBER = 1e-3
 // observation. The streaming campaign stack (Counter, Moments,
 // QuantileSketch in stream.go) replaces it where memory must stay
 // O(workers); Sample remains the exact-order-statistics path the
-// testbed CDF figures are built from, and the ZIGZAG_LEGACY_METRICS=1
-// escape hatch pins migrated suites back onto it.
+// testbed CDF figures are built from.
 type Sample struct {
 	xs []float64
 

@@ -22,9 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
-	"sync/atomic"
 )
 
 // Counter is an exactly mergeable event counter.
@@ -562,26 +560,3 @@ func (s *QuantileSketch) UnmarshalJSON(data []byte) error {
 	*s = *n
 	return nil
 }
-
-// legacyMetrics gates the campaign stack's escape hatch: when set, the
-// migrated experiment suites aggregate through the historical
-// in-memory path (materialize per-trial results, fold serially) instead
-// of the streaming reducers. Both paths are bit-identical by
-// construction — integer tallies summed over the same trial set — and
-// the hatch exists so that claim stays testable forever.
-var legacyMetrics atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_LEGACY_METRICS") == "1" {
-		legacyMetrics.Store(true)
-	}
-}
-
-// SetLegacy pins (or unpins) the legacy in-memory aggregation path. The
-// CLIs expose it as -legacy-metrics; ZIGZAG_LEGACY_METRICS=1 sets it at
-// startup.
-func SetLegacy(v bool) { legacyMetrics.Store(v) }
-
-// LegacyEnabled reports whether the legacy in-memory aggregation path
-// is pinned.
-func LegacyEnabled() bool { return legacyMetrics.Load() }

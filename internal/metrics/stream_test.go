@@ -263,19 +263,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestLegacyHatch(t *testing.T) {
-	was := LegacyEnabled()
-	defer SetLegacy(was)
-	SetLegacy(true)
-	if !LegacyEnabled() {
-		t.Fatal("SetLegacy(true) not observed")
-	}
-	SetLegacy(false)
-	if LegacyEnabled() {
-		t.Fatal("SetLegacy(false) not observed")
-	}
-}
-
 // TestSketchWalkOrder pins that CDF visits buckets in ascending value
 // order with negatives first (a regression trap for the key sort).
 func TestSketchWalkOrder(t *testing.T) {

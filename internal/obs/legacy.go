@@ -6,13 +6,12 @@ import (
 	"strings"
 )
 
-// LegacyLine formats an event exactly as the historical stringly
-// Receiver.Trace hook printed it, reporting ok=false for kinds the old
-// hook never carried. The core's Trace adapter feeds every line through
-// this, which is what pins the printf surface bit-identical across the
-// typed-event migration (the format strings below are the originals,
-// verbatim).
-func LegacyLine(e *Event) (string, bool) {
+// legacyLine formats an event exactly as the historical printf trace
+// hook printed it, reporting ok=false for kinds that hook never
+// carried. Event.String renders through it, which keeps the
+// zigzag-trace text output bit-identical to the printf era (the format
+// strings below are the originals, verbatim).
+func legacyLine(e *Event) (string, bool) {
 	switch e.Kind {
 	case KindSingleDecode:
 		return fmt.Sprintf("single-reception decode: ok=%d/%d occs=%v", e.A, e.B, e.Ints()), true
@@ -51,7 +50,7 @@ func LegacyLine(e *Event) (string, bool) {
 // String renders the event for humans: the pinned legacy line when one
 // exists, a generic operand dump otherwise.
 func (e Event) String() string {
-	if line, ok := LegacyLine(&e); ok {
+	if line, ok := legacyLine(&e); ok {
 		return fmt.Sprintf("[rec %d] %s", e.Rec, line)
 	}
 	var b strings.Builder

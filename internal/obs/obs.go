@@ -9,9 +9,8 @@
 // visibility structural instead of stringly: the receiver and decoder
 // emit typed Events (detection, store matching, chunk schedule, peel
 // outcomes, amplitude aging, forced cuts, degrade transitions) through
-// a Sink, and the historical printf Receiver.Trace hook is now a thin
-// adapter that formats those same events through LegacyLine,
-// bit-identical to the old output.
+// a Sink. Event.String renders the kinds the historical printf trace
+// hook carried exactly as that hook printed them.
 //
 // Cost discipline: with no observer attached the instrumented hot paths
 // are a nil check — zero allocations, bit-identical results. Every
@@ -19,10 +18,10 @@
 // reader so a live HTTP scrape never stalls the single-goroutine
 // receiver; the Ring drops oldest events (counted) rather than block.
 //
-// The ZIGZAG_NO_OBS=1 environment (or the -no-obs flag via
-// internal/hatch) detaches the layer at its attachment points: engines
-// skip registry wiring and sink attachment entirely, restoring the
-// uninstrumented configuration for bisection.
+// Setting ZIGZAG_NO_OBS to any value other than "" or "0" (or the
+// -no-obs flag via internal/hatch) detaches the layer at its
+// attachment points: engines skip registry wiring and sink attachment
+// entirely, restoring the uninstrumented configuration for bisection.
 package obs
 
 import (
@@ -37,21 +36,21 @@ import (
 // from being attached.
 var disabled atomic.Bool
 
-func init() {
-	if os.Getenv("ZIGZAG_NO_OBS") == "1" {
-		disabled.Store(true)
-	}
-}
+func init() { disabled.Store(envOn(os.Getenv("ZIGZAG_NO_OBS"))) }
+
+// envOn is the environment rule of every hatch (kern reads
+// ZIGZAG_NAIVE_KERNELS the same way): any value but "" and "0" is on.
+func envOn(v string) bool { return v != "" && v != "0" }
 
 // SetDisabled pins (or unpins) the no-obs escape hatch. The CLIs expose
-// it as -no-obs; ZIGZAG_NO_OBS=1 sets it at startup.
+// it as -no-obs; ZIGZAG_NO_OBS sets it at startup.
 func SetDisabled(v bool) { disabled.Store(v) }
 
 // Disabled reports whether the observability layer is detached.
 func Disabled() bool { return disabled.Load() }
 
 // Kind identifies a decode event's type. The first block corresponds
-// one-to-one to the historical Receiver.Trace printf lines (LegacyLine
+// one-to-one to the historical printf trace lines (Event.String
 // reproduces them bit for bit); the second block is structural events
 // the stringly hook never carried.
 type Kind uint8
@@ -59,7 +58,7 @@ type Kind uint8
 const (
 	KindNone Kind = iota
 
-	// Legacy-pinned receiver events (see LegacyLine for the payload of
+	// Legacy-pinned receiver events (see legacyLine for the payload of
 	// each operand field).
 	KindSingleDecode    // single-reception decode summary: A=ok, B=total, List=occ positions
 	KindRedetectNone    // redetect found nothing: A=round

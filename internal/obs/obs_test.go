@@ -139,9 +139,9 @@ func TestLegacyLineFormats(t *testing.T) {
 			fmt.Sprintf("alignStored pkt%d: cand pos=%d score=%.3f (thr %.3f)", 1, 812, 0.412, 0.55)},
 	}
 	for _, tc := range cases {
-		got, ok := LegacyLine(&tc.ev)
+		got, ok := legacyLine(&tc.ev)
 		if !ok {
-			t.Errorf("%v: LegacyLine not defined", tc.ev.Kind)
+			t.Errorf("%v: legacyLine not defined", tc.ev.Kind)
 			continue
 		}
 		if got != tc.want {
@@ -150,7 +150,7 @@ func TestLegacyLineFormats(t *testing.T) {
 	}
 	// Structural kinds have no legacy line.
 	for _, k := range []Kind{KindDetect, KindDeliver, KindSchedule, KindPeel, KindForce, KindAmpLearn, KindForcedCut, KindShed, KindDegrade} {
-		if _, ok := LegacyLine(&Event{Kind: k}); ok {
+		if _, ok := legacyLine(&Event{Kind: k}); ok {
 			t.Errorf("%v unexpectedly has a legacy line", k)
 		}
 	}
@@ -203,5 +203,18 @@ func TestDisabledHatch(t *testing.T) {
 	SetDisabled(false)
 	if Disabled() {
 		t.Fatal("SetDisabled(false) not visible")
+	}
+}
+
+// TestEnvRule pins the ZIGZAG_NO_OBS rule, the one kern applies to
+// ZIGZAG_NAIVE_KERNELS: any value other than "" and "0" sets the hatch.
+func TestEnvRule(t *testing.T) {
+	for _, tc := range []struct {
+		v  string
+		on bool
+	}{{"", false}, {"0", false}, {"1", true}, {"true", true}} {
+		if got := envOn(tc.v); got != tc.on {
+			t.Errorf("envOn(%q) = %v, want %v", tc.v, got, tc.on)
+		}
 	}
 }

@@ -52,9 +52,6 @@ func requireZeroAllocs(t *testing.T, name string, op func()) {
 // re-encode/subtract engine: once a modeler's scratch has reached
 // steady state, Subtract and TrackAndSubtract allocate nothing.
 func TestSubtractAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false) // the guarantee is the polyphase path's
 	cfg, rx, wave, s := allocScenario(t, 211)
 	m := NewModeler(cfg, s)
 	if err := m.FitISI(rx, wave, 0, 600); err != nil {
@@ -77,9 +74,6 @@ func TestSubtractAllocFree(t *testing.T) {
 // black-box decoder: with the chip/raw/decision scratch grown, a
 // steady-state DecodeRange allocates nothing (forward and reverse).
 func TestDecodeRangeAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false) // the guarantee is the polyphase path's
 	cfg, rx, _, s := allocScenario(t, 223)
 	d := NewSymbolDecoder(cfg, s, modem.BPSK)
 	if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
@@ -94,36 +88,37 @@ func TestDecodeRangeAllocFree(t *testing.T) {
 	})
 }
 
-// withInterpPath runs fn under the requested interpolation path and
-// restores the previous pin.
-func withInterpPath(naive bool, fn func()) {
-	was := dsp.NaiveInterp()
-	dsp.SetNaiveInterp(naive)
-	defer dsp.SetNaiveInterp(was)
-	fn()
+// buildImageRef is the per-sample reference for Modeler.BuildImage: the
+// chips outside [chipFrom, chipTo) are zeroed in a clone, the clone is
+// evaluated with Interpolator.At on the image's sample grid, filtered by
+// the fitted ISI model and rotated by cmplx.Exp of the ramp per sample.
+func buildImageRef(m *Modeler, chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
+	n0, n1 := m.chunkSampleRange(chipFrom, chipTo)
+	masked := make([]complex128, len(chips))
+	copy(masked[chipFrom:chipTo], chips[chipFrom:chipTo])
+	w := make([]complex128, n1-n0)
+	for n := n0; n < n1; n++ {
+		w[n-n0] = m.interp.At(masked, float64(n)-m.sync.Start)
+	}
+	img := m.g.Apply(make([]complex128, len(w)), w)
+	for i := range img {
+		img[i] *= cmplx.Exp(complex(0, m.ramp(float64(n0+i))))
+	}
+	return img, n0
 }
 
 // TestBuildImagePolyphaseMatchesNaive pins the polyphase re-encode
-// engine against the naive per-sample reference on a full modeler
-// (aligned wave + masked chips + ISI filter + rotation ramp): the two
-// images must agree to ≤1e−9 of the image scale.
+// engine against the per-sample reference on a full modeler (aligned
+// wave + masked chips + ISI filter + rotation ramp): the two images
+// must agree to ≤1e−9 of the image scale.
 func TestBuildImagePolyphaseMatchesNaive(t *testing.T) {
 	cfg, rx, wave, s := allocScenario(t, 227)
-	build := func(naive bool) ([]complex128, int) {
-		var img []complex128
-		var n0 int
-		withInterpPath(naive, func() {
-			m := NewModeler(cfg, s)
-			if err := m.FitISI(rx, wave, 0, 600); err != nil {
-				t.Fatal(err)
-			}
-			got, at := m.BuildImage(wave, 800, 1200)
-			img, n0 = dsp.Clone(got), at
-		})
-		return img, n0
+	m := NewModeler(cfg, s)
+	if err := m.FitISI(rx, wave, 0, 600); err != nil {
+		t.Fatal(err)
 	}
-	fast, n0f := build(false)
-	naive, n0n := build(true)
+	fast, n0f := m.BuildImage(wave, 800, 1200)
+	naive, n0n := buildImageRef(m, wave, 800, 1200)
 	if n0f != n0n || len(fast) != len(naive) {
 		t.Fatalf("image geometry differs: (%d,%d) vs (%d,%d)", n0f, len(fast), n0n, len(naive))
 	}
@@ -135,25 +130,27 @@ func TestBuildImagePolyphaseMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestDecodeRangePolyphaseMatchesNaive checks that the fast chip path
-// leaves the decoder's decisions unchanged and its soft outputs within
-// rounding of the per-sample reference.
+// TestDecodeRangePolyphaseMatchesNaive checks that the polyphase chip
+// path leaves the decoder's decisions unchanged and its soft outputs
+// within rounding of the per-sample reference, whose raw symbols come
+// from RawSymbol (Interpolator.At per chip).
 func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 	cfg, rx, _, s := allocScenario(t, 229)
-	run := func(naive bool) (dec, soft []complex128) {
-		withInterpPath(naive, func() {
-			d := NewSymbolDecoder(cfg, s, modem.BPSK)
-			if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
-				t.Fatal(err)
-			}
-			pre := cfg.PreambleBits
-			dd, ss := d.DecodeRange(rx, pre, pre+200, false)
-			dec, soft = dsp.Clone(dd), dsp.Clone(ss)
-		})
-		return dec, soft
+	pre := cfg.PreambleBits
+	trained := func() *SymbolDecoder {
+		d := NewSymbolDecoder(cfg, s, modem.BPSK)
+		if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	fd, fs := run(false)
-	nd, ns := run(true)
+	fd, fs := trained().DecodeRange(rx, pre, pre+200, false)
+	ref := trained()
+	raw := make([]complex128, 200+2*cfg.EqTaps)
+	for i := range raw {
+		raw[i] = ref.RawSymbol(rx, pre-cfg.EqTaps+i)
+	}
+	nd, ns := ref.decodeRaw(raw, pre, pre+200, false)
 	for i := range fd {
 		if fd[i] != nd[i] {
 			t.Fatalf("decision %d differs: polyphase %v, naive %v", i, fd[i], nd[i])
@@ -164,14 +161,29 @@ func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFitISIChunkPastResidual is the regression for a chunk whose
+// sample span starts past the residual's end: clipping left an inverted
+// span, and evaluating the wave over it panicked on a negative grid
+// length. It must report ErrSingular, the same error EstimateFIR gives
+// for any span too short to fit.
+func TestFitISIChunkPastResidual(t *testing.T) {
+	cfg, rx, wave, s := allocScenario(t, 231)
+	m := NewModeler(cfg, s)
+	for _, n := range []int{0, 100, 700} {
+		if err := m.FitISI(rx[:n], wave, 800, 1200); err != dsp.ErrSingular {
+			t.Fatalf("residual of %d samples: FitISI = %v, want ErrSingular", n, err)
+		}
+	}
+	if m.ISIFitted() {
+		t.Fatal("a rejected fit marked the ISI model fitted")
+	}
+}
+
 // TestFitISIAllocFree pins the zero-allocation guarantee of the
 // re-encoding channel fit: once the modeler's derotation buffer and
 // least-squares arenas have grown, repeated FitISI calls allocate
 // nothing (the hot case when links churn and shapes refit per trial).
 func TestFitISIAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfg, rx, wave, s := allocScenario(t, 233)
 	m := NewModeler(cfg, s)
 	requireZeroAllocs(t, "Modeler.FitISI", func() {
@@ -186,9 +198,6 @@ func TestFitISIAllocFree(t *testing.T) {
 // the solver scratch are all decoder-owned, so steady-state retraining
 // allocates nothing.
 func TestTrainEqualizerAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfg, rx, _, s := allocScenario(t, 239)
 	d := NewSymbolDecoder(cfg, s, modem.BPSK)
 	known := cfg.PreambleSymbols()
@@ -204,9 +213,6 @@ func TestTrainEqualizerAllocFree(t *testing.T) {
 // bit-identically to a freshly constructed one, even after the recycled
 // instance accumulated scratch and state on a different scenario.
 func TestReinitMatchesNew(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfgA, rxA, waveA, sA := allocScenario(t, 241)
 	cfgB, rxB, waveB, sB := allocScenario(t, 251)
 

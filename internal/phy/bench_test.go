@@ -40,41 +40,22 @@ func benchScenario(b *testing.B, seed int64) (Config, []complex128, []complex128
 	return cfg, rx, wave, s
 }
 
-// forEachInterpPath runs the benchmark body once on the polyphase
-// engine and once pinned to the naive per-sample interpolator, so the
-// two kernels are always measured side by side.
-func forEachInterpPath(b *testing.B, run func(b *testing.B)) {
-	for _, naive := range []bool{false, true} {
-		name := "polyphase"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			dsp.SetNaiveInterp(naive)
-			defer dsp.SetNaiveInterp(false)
-			run(b)
-		})
-	}
-}
-
 // BenchmarkBuildImage measures the chunk re-encode kernel: render the
 // received image of a 400-chip chunk (§4.2.3b), including the
 // fractional-delay alignment, ISI filtering, and the carrier rotation
 // ramp.
 func BenchmarkBuildImage(b *testing.B) {
 	cfg, rx, wave, s := benchScenario(b, 101)
-	forEachInterpPath(b, func(b *testing.B) {
-		m := NewModeler(cfg, s)
-		if err := m.FitISI(rx, wave, 0, 600); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			img, _ := m.BuildImage(wave, 800, 1200)
-			_ = img
-		}
-	})
+	m := NewModeler(cfg, s)
+	if err := m.FitISI(rx, wave, 0, 600); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, _ := m.BuildImage(wave, 800, 1200)
+		_ = img
+	}
 }
 
 // BenchmarkTrackAndSubtract measures the full §4.2.4b subtraction step:
@@ -82,39 +63,35 @@ func BenchmarkBuildImage(b *testing.B) {
 // correction, subtract, and update the frequency estimate.
 func BenchmarkTrackAndSubtract(b *testing.B) {
 	cfg, rx, wave, s := benchScenario(b, 103)
-	forEachInterpPath(b, func(b *testing.B) {
-		m := NewModeler(cfg, s)
-		if err := m.FitISI(rx, wave, 0, 600); err != nil {
-			b.Fatal(err)
+	m := NewModeler(cfg, s)
+	if err := m.FitISI(rx, wave, 0, 600); err != nil {
+		b.Fatal(err)
+	}
+	res := dsp.Clone(rx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrackAndSubtract(res, wave, 800, 1200)
+		if i&0xf == 0xf {
+			copy(res, rx) // keep the residual from drifting to -inf
 		}
-		res := dsp.Clone(rx)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.TrackAndSubtract(res, wave, 800, 1200)
-			if i&0xf == 0xf {
-				copy(res, rx) // keep the residual from drifting to -inf
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkSubtract measures the no-tracking re-subtraction used when a
 // packet is removed from a third collision (§4.5).
 func BenchmarkSubtract(b *testing.B) {
 	cfg, rx, wave, s := benchScenario(b, 105)
-	forEachInterpPath(b, func(b *testing.B) {
-		m := NewModeler(cfg, s)
-		res := dsp.Clone(rx)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Subtract(res, wave, 800, 1200)
-			if i&0xf == 0xf {
-				copy(res, rx)
-			}
+	m := NewModeler(cfg, s)
+	res := dsp.Clone(rx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Subtract(res, wave, 800, 1200)
+		if i&0xf == 0xf {
+			copy(res, rx)
 		}
-	})
+	}
 }
 
 // BenchmarkDecodeRange measures the black-box decoder on a 200-symbol
@@ -122,18 +99,16 @@ func BenchmarkSubtract(b *testing.B) {
 // equalization, and the decision-directed PLL.
 func BenchmarkDecodeRange(b *testing.B) {
 	cfg, rx, _, s := benchScenario(b, 107)
-	forEachInterpPath(b, func(b *testing.B) {
-		d := NewSymbolDecoder(cfg, s, modem.BPSK)
-		if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
-			b.Fatal(err)
-		}
-		pre := cfg.PreambleBits
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.DecodeRange(rx, pre, pre+200, false)
-		}
-	})
+	d := NewSymbolDecoder(cfg, s, modem.BPSK)
+	if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
+		b.Fatal(err)
+	}
+	pre := cfg.PreambleBits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.DecodeRange(rx, pre, pre+200, false)
+	}
 }
 
 // BenchmarkShiftDrift measures the channel model's drifting-offset
@@ -146,13 +121,11 @@ func BenchmarkShiftDrift(b *testing.B) {
 		x[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
 	ip := dsp.Interpolator{Taps: 4}
-	forEachInterpPath(b, func(b *testing.B) {
-		dst := make([]complex128, len(x))
-		b.ReportAllocs()
-		b.SetBytes(int64(len(x) * 16))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ip.ShiftDrift(dst, x, 0.37, 2e-5)
-		}
-	})
+	dst := make([]complex128, len(x))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(x) * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ip.ShiftDrift(dst, x, 0.37, 2e-5)
+	}
 }

@@ -286,21 +286,21 @@ func (d *SymbolDecoder) DecodeRange(rx []complex128, from, to int, reverse bool)
 	if n <= 0 {
 		return nil, nil
 	}
+	// Cache raw symbols for the range plus the equalizer skirt.
+	d.rawBuf = dsp.Ensure(d.rawBuf, n+2*d.cfg.EqTaps)
+	d.fillRaw(rx, from-d.cfg.EqTaps, d.rawBuf)
+	return d.decodeRaw(d.rawBuf, from, to, reverse)
+}
+
+// decodeRaw is DecodeRange past the raw-symbol cache: raw holds symbols
+// [from−EqTaps, to+EqTaps), which it equalizes, phase-corrects and
+// slices.
+func (d *SymbolDecoder) decodeRaw(raw []complex128, from, to int, reverse bool) (decisions, soft []complex128) {
+	n := to - from
 	d.decBuf = dsp.Ensure(d.decBuf, n)
 	d.softBuf = dsp.Ensure(d.softBuf, n)
 	decisions, soft = d.decBuf, d.softBuf
-	t := d.cfg.EqTaps
-	// Cache raw symbols for the range plus the equalizer skirt.
-	base := from - t
-	d.rawBuf = dsp.Ensure(d.rawBuf, n+2*t)
-	raw := d.rawBuf
-	if dsp.NaiveInterp() {
-		for i := range raw {
-			raw[i] = d.RawSymbol(rx, base+i)
-		}
-	} else {
-		d.fillRaw(rx, base, raw)
-	}
+	base := from - d.cfg.EqTaps
 	idx := func(step int) int {
 		if reverse {
 			return to - 1 - step

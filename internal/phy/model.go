@@ -156,14 +156,6 @@ func (m *Modeler) ramp(n float64) float64 {
 // The returned slice is the modeler's scratch, valid until the next
 // aligned-wave evaluation.
 func (m *Modeler) alignedWave(chips []complex128, n0, n1 int) []complex128 {
-	if dsp.NaiveInterp() {
-		out := dsp.Ensure(m.wave, n1-n0)
-		m.wave = out
-		for n := n0; n < n1; n++ {
-			out[n-n0] = m.interp.At(chips, float64(n)-m.sync.Start)
-		}
-		return out
-	}
 	m.wave = m.rs.EvalGrid(m.wave, chips, float64(n0)-m.sync.Start, n1-n0)
 	return m.wave
 }
@@ -194,17 +186,6 @@ func (m *Modeler) alignedWaveMasked(chips []complex128, chipFrom, chipTo, n0, n1
 		}
 		return m.wave
 	}
-	if dsp.NaiveInterp() {
-		// Reference path: evaluate over an explicitly masked clone.
-		masked := make([]complex128, len(chips))
-		copy(masked[chipFrom:chipTo], chips[chipFrom:chipTo])
-		out := dsp.Ensure(m.wave, n1-n0)
-		m.wave = out
-		for n := n0; n < n1; n++ {
-			out[n-n0] = m.interp.At(masked, float64(n)-m.sync.Start)
-		}
-		return out
-	}
 	m.wave = m.rs.EvalGrid(m.wave, chips[chipFrom:chipTo],
 		float64(n0)-m.sync.Start-float64(chipFrom), n1-n0)
 	return m.wave
@@ -234,16 +215,6 @@ func (m *Modeler) BuildImage(chips []complex128, chipFrom, chipTo int) ([]comple
 	w := m.alignedWaveMasked(chips, chipFrom, chipTo, n0, n1)
 	m.img = m.g.Apply(dsp.Ensure(m.img, len(w)), w)
 	img := m.img
-	if dsp.NaiveInterp() {
-		// Reference path: independent per-sample rotation.
-		for i := range img {
-			if img[i] == 0 {
-				continue
-			}
-			img[i] *= cmplx.Exp(complex(0, m.ramp(float64(n0+i))))
-		}
-		return img, n0
-	}
 	if kern.Naive() {
 		// Recurrence rotator: θ(n0+i) = θ(n0) + i·freq.
 		rot := dsp.NewRotator(m.ramp(float64(n0)), m.freq)
@@ -278,6 +249,14 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	if n1 > len(residual) {
 		n1 = len(residual)
 	}
+	// The fit runs only over the interior where the wave has full
+	// support. A span too short for that (empty or inverted when the
+	// chunk starts past the residual's end) is rejected here, exactly
+	// where EstimateFIR would reject it, before anything is evaluated.
+	margin := m.cfg.ModelTaps + m.interp.Taps + dsp.DefaultSincTaps
+	if n1-n0 < 2*margin+2*m.cfg.ModelTaps+1 {
+		return dsp.ErrSingular
+	}
 	w := m.alignedWave(chips, n0, n1)
 	// Derotate the residual by the ramp so the fit is time-invariant.
 	m.yBuf = dsp.Ensure(m.yBuf, n1-n0)
@@ -292,8 +271,6 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 		copy(y, residual[n0:n1])
 		kern.MulTone(y, -m.ramp(float64(n0)), -m.freq)
 	}
-	// Fit only over the interior where the wave has full support.
-	margin := m.cfg.ModelTaps + m.interp.Taps + dsp.DefaultSincTaps
 	g, err := m.lsq.EstimateFIR(w, y, margin, len(y)-margin, m.cfg.ModelTaps)
 	if err != nil {
 		return err

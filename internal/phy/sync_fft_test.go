@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"zigzag/internal/dsp/fft"
+	"zigzag/internal/dsp"
 )
 
 // collisionBuffer builds a buffer with two preamble-led packets over
@@ -26,6 +26,17 @@ func collisionBuffer(t *testing.T, cfg Config, seed int64, n int) []complex128 {
 	return rx
 }
 
+// naiveDetect is Detect with the profile from the naive O(N·M)
+// correlator (dsp.CorrelateProfile) instead of the dispatching engine.
+func naiveDetect(sy *Synchronizer, rx []complex128, freq, beta, refAmp float64) []Sync {
+	pd := dsp.PeakDetector{Beta: beta, RefAmp: refAmp, MinSpacing: len(sy.wave) / 2}
+	var syncs []Sync
+	for _, p := range pd.FindInto(nil, dsp.CorrelateProfile(rx, sy.wave, freq), sy.energy) {
+		syncs = append(syncs, sy.syncFromPeak(p))
+	}
+	return syncs
+}
+
 // TestDetectFFTMatchesNaive pins the rewiring: Detect through the FFT
 // engine must find the same packets, at the same positions, as the
 // naive kernel it replaced.
@@ -33,9 +44,7 @@ func TestDetectFFTMatchesNaive(t *testing.T) {
 	cfg := Default()
 	rx := collisionBuffer(t, cfg, 50, 4096)
 	fftSyncs := NewSynchronizer(cfg).Detect(rx, 0.002, 0.5, 1)
-	fft.SetForceNaive(true)
-	naiveSyncs := NewSynchronizer(cfg).Detect(rx, 0.002, 0.5, 1)
-	fft.SetForceNaive(false)
+	naiveSyncs := naiveDetect(NewSynchronizer(cfg), rx, 0.002, 0.5, 1)
 	if len(fftSyncs) != 2 {
 		t.Fatalf("detected %d packets, want 2", len(fftSyncs))
 	}

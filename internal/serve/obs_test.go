@@ -105,9 +105,6 @@ func TestEngineMetricsDeltaAcrossEngines(t *testing.T) {
 // report.
 func TestEngineDegradeMetricsConsistency(t *testing.T) {
 	skipIfNoObs(t)
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
 
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(1 << 14)

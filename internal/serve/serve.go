@@ -12,10 +12,7 @@
 // decode path: core.Receiver.Receive is a thin wrapper over the same
 // per-reception pipeline Ingest/Poll drive, so the streaming engine is
 // bit-identical to the one-shot receiver whenever it is not shedding
-// load. The -oneshot-ingest hatch (ZIGZAG_ONESHOT_INGEST=1) pins the
-// engine to the wrapper path — it frames bursts itself and calls
-// Receive directly — which is both the identity reference and the
-// escape hatch if the streaming front end misbehaves.
+// load; the serve tests pin that against a framer-plus-Receive loop.
 //
 // Backpressure: the core's pending-reception queue is bounded
 // (core.StreamConfig.MaxPending). Under overload the engine either
@@ -33,34 +30,14 @@ import (
 	"context"
 	"hash/fnv"
 	"io"
-	"os"
 	"runtime/pprof"
-	"sync/atomic"
 	"time"
 
 	"zigzag/internal/core"
 	"zigzag/internal/metrics"
 	"zigzag/internal/obs"
-	"zigzag/internal/phy"
 	"zigzag/internal/session"
 )
-
-// oneshotIngest pins the engine to the one-shot Receive wrapper.
-var oneshotIngest atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_ONESHOT_INGEST") == "1" {
-		oneshotIngest.Store(true)
-	}
-}
-
-// SetOneshotIngest pins (or unpins) the engine to the one-shot Receive
-// path. The CLIs expose it as -oneshot-ingest; the identity gate runs
-// both settings and compares.
-func SetOneshotIngest(v bool) { oneshotIngest.Store(v) }
-
-// OneshotIngest reports whether the one-shot hatch is set.
-func OneshotIngest() bool { return oneshotIngest.Load() }
 
 // Policy selects the engine's load-shedding behaviour under overload.
 type Policy uint8
@@ -191,10 +168,8 @@ type Report struct {
 	StoredLeft    int   `json:"stored_left"`
 	// FrameDigest is an order-sensitive FNV-1a digest of every
 	// delivered frame (src, dst, seq, payload) — the identity gate
-	// compares it across ingest paths, chunk sizes and policies.
+	// compares it across chunk sizes and policies.
 	FrameDigest uint64 `json:"frame_digest"`
-	// Oneshot records which ingest path produced the report.
-	Oneshot bool `json:"oneshot"`
 
 	// Wall-clock figures.
 	Elapsed       time.Duration           `json:"elapsed_ns"`
@@ -248,14 +223,11 @@ type Engine struct {
 	cfg      Config
 	sess     *session.Session
 	z        *core.Receiver
-	oneshot  bool
-	framer   *phy.Framer // oneshot mode frames bursts itself
 	chunk    []complex128
 	rep      Report
 	lat      *metrics.QuantileSketch
 	digest   uint64
 	degraded bool
-	stamp    int64 // oneshot mode: burst frame time
 
 	// vars is the live metric set (nil when uninstrumented); prevStream
 	// is the last StreamStats mirrored into it, so syncStats adds exact
@@ -265,23 +237,13 @@ type Engine struct {
 }
 
 // NewEngine builds an engine on a pooled session. Close releases the
-// session; the engine honours the -oneshot-ingest hatch as of this
-// call.
+// session.
 func NewEngine(cfg Config) *Engine {
 	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, oneshot: OneshotIngest()}
+	e := &Engine{cfg: cfg}
 	e.sess = session.Acquire(cfg.Core)
-	if e.oneshot {
-		e.z = e.sess.OnlineReceiver(cfg.Clients)
-		e.framer = phy.NewFramer(phy.FramerConfig{
-			Threshold: cfg.Stream.GateThreshold,
-			IdleGap:   cfg.Stream.IdleGap,
-			MaxWindow: cfg.Stream.MaxWindow,
-		})
-	} else {
-		e.z = e.sess.StreamReceiver(cfg.Clients, cfg.Stream)
-		e.z.StreamStamp = func() int64 { return e.cfg.Now() }
-	}
+	e.z = e.sess.StreamReceiver(cfg.Clients, cfg.Stream)
+	e.z.StreamStamp = func() int64 { return e.cfg.Now() }
 	e.chunk = make([]complex128, cfg.Chunk)
 	e.lat = metrics.NewQuantileSketch(0.01)
 	e.digest = fnv.New64a().Sum64() // FNV offset basis
@@ -291,11 +253,7 @@ func NewEngine(cfg Config) *Engine {
 	if !obs.Disabled() {
 		if cfg.Metrics != nil {
 			e.vars = newServeVars(cfg.Metrics)
-			if e.oneshot {
-				e.framer.SetStats(e.vars.framer)
-			} else {
-				e.z.SetFramerStats(e.vars.framer)
-			}
+			e.z.SetFramerStats(e.vars.framer)
 		}
 		if cfg.Events != nil {
 			e.z.Obs = cfg.Events
@@ -345,7 +303,6 @@ func (e *Engine) Run(src Source) (*Report, error) {
 	e.rep.Latency = e.lat
 	e.rep.FrameDigest = e.digest
 	e.rep.StoredLeft = e.z.StoredCollisions()
-	e.rep.Oneshot = e.oneshot
 	return &e.rep, readErr
 }
 
@@ -353,14 +310,6 @@ func (e *Engine) Run(src Source) (*Report, error) {
 func (e *Engine) feed(chunk []complex128) {
 	if e.cfg.ProfileLabels {
 		e.feedProfiled(chunk)
-		return
-	}
-	if e.oneshot {
-		e.rep.Samples += int64(len(chunk))
-		if e.vars != nil {
-			e.vars.samples.Add(int64(len(chunk)))
-		}
-		e.framer.Push(chunk, e.onBurst)
 		return
 	}
 	e.z.Ingest(chunk)
@@ -374,16 +323,6 @@ func (e *Engine) feed(chunk []complex128) {
 // unlabeled fast path must stay allocation-free.
 func (e *Engine) feedProfiled(chunk []complex128) {
 	ctx := context.Background()
-	if e.oneshot {
-		pprof.Do(ctx, pprof.Labels("phase", "ingest"), func(context.Context) {
-			e.rep.Samples += int64(len(chunk))
-			if e.vars != nil {
-				e.vars.samples.Add(int64(len(chunk)))
-			}
-			e.framer.Push(chunk, e.onBurst)
-		})
-		return
-	}
 	pprof.Do(ctx, pprof.Labels("phase", "ingest"), func(context.Context) {
 		e.z.Ingest(chunk)
 	})
@@ -395,14 +334,6 @@ func (e *Engine) feedProfiled(chunk []complex128) {
 
 // finish closes the stream and drains everything still pending.
 func (e *Engine) finish() {
-	if e.oneshot {
-		e.framer.Flush(e.onBurst)
-		if e.vars != nil {
-			e.vars.pending.Set(0)
-			e.vars.stored.Set(int64(e.z.StoredCollisions()))
-		}
-		return
-	}
 	e.z.FlushStream()
 	if e.cfg.ProfileLabels {
 		pprof.Do(context.Background(), pprof.Labels("phase", "poll"), func(context.Context) {
@@ -474,36 +405,10 @@ func (e *Engine) poll(budget int) {
 	e.syncStats()
 }
 
-// onBurst is the oneshot path: decode at frame time via the Receive
-// wrapper.
-func (e *Engine) onBurst(burst []complex128, info phy.BurstInfo) {
-	e.rep.Receptions++
-	e.rep.Polled++
-	if info.Forced {
-		e.rep.ForcedCuts++
-	}
-	if e.vars != nil {
-		e.vars.receptions.Inc()
-		e.vars.polled.Inc()
-		if info.Forced {
-			e.vars.forcedCuts.Inc()
-		}
-	}
-	t0 := e.cfg.Now()
-	evs := e.z.Receive(burst)
-	e.tally(evs)
-	lat := float64(e.cfg.Now() - t0)
-	e.lat.Add(lat)
-	if e.vars != nil {
-		e.vars.latency.Observe(lat)
-	}
-}
-
-// syncStats mirrors the core's stream counters into the report
-// (streaming mode; the oneshot path counts directly) and publishes the
-// exact deltas since the previous sync into the live metric set — the
-// registry counters are shared across engines, so they accumulate
-// rather than overwrite.
+// syncStats mirrors the core's stream counters into the report and
+// publishes the exact deltas since the previous sync into the live
+// metric set — the registry counters are shared across engines, so
+// they accumulate rather than overwrite.
 func (e *Engine) syncStats() {
 	st := e.z.Stream()
 	if e.vars != nil {

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"hash/fnv"
 	"io"
 	"testing"
 
 	"zigzag/internal/core"
+	"zigzag/internal/phy"
+	"zigzag/internal/session"
 )
 
 // coreStream is shorthand for a stream config bounding the pending
@@ -77,24 +80,62 @@ func runEngine(t *testing.T, sc SynthConfig, ecfg Config) *Report {
 	return rep
 }
 
-// TestEngineStreamingOneshotIdentity is the redesign's core contract:
-// the streaming Ingest/Poll front end and the one-shot Receive wrapper
-// produce byte-identical frame streams for the same traffic.
-func TestEngineStreamingOneshotIdentity(t *testing.T) {
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-
-	sc := SynthConfig{Seed: 7, Episodes: 8}
-	SetOneshotIngest(false)
-	stream := runEngine(t, sc, Config{})
-	SetOneshotIngest(true)
-	oneshot := runEngine(t, sc, Config{})
-	SetOneshotIngest(was)
-
-	if stream.Oneshot || !oneshot.Oneshot {
-		t.Fatalf("path labels wrong: stream.Oneshot=%v oneshot.Oneshot=%v",
-			stream.Oneshot, oneshot.Oneshot)
+// oneshotReport serves sc the one-shot way: a phy.Framer configured
+// like the engine's cuts bursts out of the whole stream, and each burst
+// goes straight through Receiver.Receive. It fills the report's
+// deterministic counts and frame digest.
+func oneshotReport(t *testing.T, sc SynthConfig) *Report {
+	t.Helper()
+	g, err := NewSynthetic(sc)
+	if err != nil {
+		t.Fatalf("NewSynthetic: %v", err)
 	}
+	defer g.Close()
+	cfg := Config{Clients: g.Clients()}
+	cfg.fillDefaults()
+	z := session.New(cfg.Core).OnlineReceiver(cfg.Clients)
+	fr := phy.NewFramer(phy.FramerConfig{
+		Threshold: cfg.Stream.GateThreshold,
+		IdleGap:   cfg.Stream.IdleGap,
+		MaxWindow: cfg.Stream.MaxWindow,
+	})
+	rep := &Report{FrameDigest: fnv.New64a().Sum64()}
+	onBurst := func(burst []complex128, info phy.BurstInfo) {
+		rep.Receptions++
+		rep.Polled++
+		for _, ev := range z.Receive(burst) {
+			if ev.Frame == nil {
+				rep.Failed++
+				continue
+			}
+			rep.Frames++
+			switch ev.Via {
+			case core.ViaStandard:
+				rep.Standard++
+			case core.ViaZigzag:
+				rep.Zigzag++
+			case core.ViaCapture:
+				rep.Capture++
+			}
+			rep.FrameDigest = digestFrame(rep.FrameDigest, &ev)
+		}
+	}
+	samples := readAll(t, g)
+	rep.Samples = int64(len(samples))
+	fr.Push(samples, onBurst)
+	fr.Flush(onBurst)
+	return rep
+}
+
+// TestEngineStreamingOneshotIdentity is the redesign's core contract:
+// the engine's streaming Ingest/Poll front end and a one-shot
+// framer-plus-Receive loop produce byte-identical frame streams for the
+// same traffic.
+func TestEngineStreamingOneshotIdentity(t *testing.T) {
+	sc := SynthConfig{Seed: 7, Episodes: 8}
+	stream := runEngine(t, sc, Config{})
+	oneshot := oneshotReport(t, sc)
+
 	if stream.Frames == 0 || stream.Zigzag == 0 || stream.Standard == 0 {
 		t.Fatalf("stream decoded frames=%d standard=%d zigzag=%d; want all paths exercised",
 			stream.Frames, stream.Standard, stream.Zigzag)
@@ -111,8 +152,8 @@ func TestEngineStreamingOneshotIdentity(t *testing.T) {
 	if sc1 != sc2 {
 		t.Fatalf("count mismatch:\nstreaming %+v\noneshot   %+v", sc1, sc2)
 	}
-	if stream.Dropped != 0 || oneshot.Dropped != 0 {
-		t.Fatalf("unloaded runs dropped receptions: %d / %d", stream.Dropped, oneshot.Dropped)
+	if stream.Dropped != 0 {
+		t.Fatalf("unloaded run dropped %d receptions", stream.Dropped)
 	}
 }
 
@@ -139,11 +180,6 @@ func TestEngineChunkInvariance(t *testing.T) {
 // (counted), the stream must still complete, and the newest data must
 // still decode.
 func TestEngineOverloadShedsWithoutStalling(t *testing.T) {
-	// Budget-based overload only exists on the streaming path; pin it
-	// so the ZIGZAG_ONESHOT_INGEST=1 race leg still tests it.
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
 	sc := SynthConfig{Seed: 21, Episodes: 16}
 	rep := runEngine(t, sc, Config{
 		Chunk:      1 << 16, // whole episodes per read: bursts arrive faster than the budget drains
@@ -166,11 +202,6 @@ func TestEngineOverloadShedsWithoutStalling(t *testing.T) {
 // receiver flips into degraded mode (skip store matching) at least
 // once, and the engine restores full fidelity by end of stream.
 func TestEngineDegradePolicy(t *testing.T) {
-	// The degrade hysteresis rides the streaming queue; pin the path so
-	// the ZIGZAG_ONESHOT_INGEST=1 race leg still tests it.
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
 	sc := SynthConfig{Seed: 21, Episodes: 16}
 	g, err := NewSynthetic(sc)
 	if err != nil {

@@ -30,18 +30,11 @@
 // worker-count byte-identity suites across the experiment packages pin
 // this end to end, and the session tests pin pooled-vs-fresh
 // bit-identity directly.
-//
-// Escape hatch: ZIGZAG_NO_SESSION_POOL=1 (or -no-session-pool on the
-// CLIs, via SetPoolDisabled) rebuilds the world on every reset — the
-// pre-session per-trial behavior — which is also how the
-// bench-regression gate measures the pooling speedup.
 package session
 
 import (
 	"math/rand"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"zigzag/internal/channel"
 	"zigzag/internal/core"
@@ -52,9 +45,8 @@ import (
 )
 
 // Session is one worker's reusable simulation world. Exported fields
-// are the components trials drive directly; they are rebuilt by Reset
-// only when pooling is disabled. A Session must not be shared by
-// concurrent goroutines.
+// are the components trials drive directly. A Session must not be
+// shared by concurrent goroutines.
 type Session struct {
 	// Cfg is the configuration the session is keyed by.
 	Cfg core.Config
@@ -93,23 +85,15 @@ type Session struct {
 
 // New builds a session for cfg. Most callers go through Acquire.
 func New(cfg core.Config) *Session {
-	s := &Session{}
-	s.init(cfg)
-	return s
-}
-
-func (s *Session) init(cfg core.Config) {
-	s.Cfg = cfg
-	s.TX = phy.NewTransmitter(cfg.PHY)
-	s.RX = phy.NewReceiver(cfg.PHY)
-	s.Sync = phy.NewSynchronizer(cfg.PHY)
-	s.Air = &channel.Air{}
-	s.Dec = &core.Scratch{}
-	s.zz = nil
-	s.preSyms = cfg.PHY.PreambleSymbols()
-	s.Aux = nil
-	s.mix, s.bitBuf, s.symBuf = nil, nil, nil
-	s.waves, s.truths, s.links = nil, nil, nil
+	return &Session{
+		Cfg:     cfg,
+		TX:      phy.NewTransmitter(cfg.PHY),
+		RX:      phy.NewReceiver(cfg.PHY),
+		Sync:    phy.NewSynchronizer(cfg.PHY),
+		Air:     &channel.Air{},
+		Dec:     &core.Scratch{},
+		preSyms: cfg.PHY.PreambleSymbols(),
+	}
 }
 
 // Reset prepares the session for one trial whose randomness is defined
@@ -124,11 +108,6 @@ func (s *Session) Reset(seed int64) {
 // rng the runner passes trial closures), avoiding a duplicate rng
 // allocation in the hot loop.
 func (s *Session) ResetRand(rng *rand.Rand) {
-	if PoolDisabled() {
-		// Escape hatch: rebuild the world per trial, the pre-session
-		// cost model.
-		s.init(s.Cfg)
-	}
 	s.Rng = rng
 	s.Air.Rng = rng
 	s.Air.NoisePower = 0
@@ -242,11 +221,8 @@ type Pool struct {
 }
 
 // Acquire returns a session for cfg: a pooled one when available, a
-// fresh one otherwise. With pooling disabled it always builds fresh.
+// fresh one otherwise.
 func (p *Pool) Acquire(cfg core.Config) *Session {
-	if PoolDisabled() {
-		return New(cfg)
-	}
 	p.mu.Lock()
 	if list := p.free[cfg]; len(list) > 0 {
 		s := list[len(list)-1]
@@ -260,9 +236,9 @@ func (p *Pool) Acquire(cfg core.Config) *Session {
 }
 
 // Release returns a session to the pool for reuse by later sweeps of
-// the same config. With pooling disabled the session is dropped.
+// the same config.
 func (p *Pool) Release(s *Session) {
-	if s == nil || PoolDisabled() {
+	if s == nil {
 		return
 	}
 	// Drop the trial stream and impairment chain: a pooled session must
@@ -287,22 +263,6 @@ func Acquire(cfg core.Config) *Session { return defaultPool.Acquire(cfg) }
 // Release returns a session to the process-wide pool.
 func Release(s *Session) { defaultPool.Release(s) }
 
-var noPool atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_NO_SESSION_POOL") == "1" {
-		noPool.Store(true)
-	}
-}
-
-// SetPoolDisabled pins the engine to per-trial world construction (the
-// pre-session cost model). The CLIs expose it as -no-session-pool; the
-// benchmark-regression gate uses it to measure the pooling speedup.
-func SetPoolDisabled(v bool) { noPool.Store(v) }
-
-// PoolDisabled reports whether session pooling is disabled.
-func PoolDisabled() bool { return noPool.Load() }
-
 // MapTrials fans trials out across the runner's worker pool with one
 // session per worker, reset onto each trial's deterministic stream
 // before the trial body runs. It is the session-engine counterpart of
@@ -319,8 +279,7 @@ func MapTrials[T any](cfg core.Config, trials, workers int, baseSeed int64, fn f
 // space: trial indices (and therefore seeds and random streams) are the
 // GLOBAL ones, so shard [lo,hi) of a sweep reproduces exactly the
 // trials the unsharded run executes at those indices. It remains
-// O(range) memory — the legacy aggregation path under the
-// -legacy-metrics hatch runs on it.
+// O(range) memory.
 func MapShard[T any](cfg core.Config, sh runner.Batch, workers int, baseSeed int64, fn func(s *Session, trial int) T) []T {
 	n := sh.Hi - sh.Lo
 	if n < 0 {

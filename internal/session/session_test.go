@@ -83,9 +83,9 @@ func runTrial(s *Session) trialOutcome {
 }
 
 // TestSessionReuseBitIdentical pins the tentpole determinism contract:
-// a session recycled across many trials (Reset per trial) produces
-// exactly the outcomes of a fresh session per trial, and of the
-// pool-disabled escape hatch.
+// a session recycled across many trials through a Pool (Reset per
+// trial) produces exactly the outcomes of a fresh session.New per
+// trial.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	cfg := core.DefaultConfig()
 	const trials = 6
@@ -102,25 +102,15 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 	}
 
 	reused := make([]trialOutcome, trials)
-	s := New(cfg)
+	var p Pool
 	for i, seed := range seeds {
+		s := p.Acquire(cfg)
 		s.Reset(seed)
 		reused[i] = runTrial(s)
+		p.Release(s)
 	}
 	if !reflect.DeepEqual(fresh, reused) {
 		t.Fatalf("reused session diverged from fresh-per-trial:\nfresh:  %+v\nreused: %+v", fresh, reused)
-	}
-
-	SetPoolDisabled(true)
-	defer SetPoolDisabled(false)
-	s2 := New(cfg)
-	unpooled := make([]trialOutcome, trials)
-	for i, seed := range seeds {
-		s2.Reset(seed)
-		unpooled[i] = runTrial(s2)
-	}
-	if !reflect.DeepEqual(fresh, unpooled) {
-		t.Fatal("pool-disabled escape hatch diverged from fresh-per-trial")
 	}
 }
 
@@ -312,7 +302,7 @@ func TestReduceShardMatchesMapTrials(t *testing.T) {
 }
 
 // TestPoolRecyclesByConfig checks Acquire/Release round-trips sessions
-// per config and that pooling disabled always builds fresh.
+// per config.
 func TestPoolRecyclesByConfig(t *testing.T) {
 	var p Pool
 	cfgA := core.DefaultConfig()
@@ -326,13 +316,6 @@ func TestPoolRecyclesByConfig(t *testing.T) {
 	p.Release(a)
 	if got := p.Acquire(cfgB); got == a {
 		t.Error("different-config acquire returned the wrong session")
-	}
-	SetPoolDisabled(true)
-	defer SetPoolDisabled(false)
-	c := p.Acquire(cfgA)
-	p.Release(c)
-	if got := p.Acquire(cfgA); got == c {
-		t.Error("pool-disabled acquire recycled a session")
 	}
 }
 

@@ -58,9 +58,6 @@ func TestRenderEpisodeAllocFree(t *testing.T) {
 		t.Errorf("renderEpisode (static channel): %v allocs per run in steady state, want 0", n)
 	}
 
-	wasDisabled := impair.Disabled()
-	impair.SetDisabled(false) // the impaired leg needs the engine active
-	t.Cleanup(func() { impair.SetDisabled(wasDisabled) })
 	ch := r.arena.impair.Get(impair.Profile{Doppler: 3e-4, RicianK: 2, InterfDuty: 0.2, DriftRate: 1e-7})
 	ch.Reset(3)
 	r.air.Impair = ch

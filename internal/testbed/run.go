@@ -280,8 +280,7 @@ func RunWith(sess *session.Session, cfg RunConfig, scheme Scheme) RunResult {
 		bitTot:    make([]int, n),
 	}
 	// The run's randomness is its own cfg.Seed stream (as it always
-	// was); ResetRand installs it on the session Air — and rebuilds the
-	// world per run when pooling is disabled.
+	// was); ResetRand installs it on the session Air.
 	sess.ResetRand(r.rng)
 	r.tx = sess.TX
 	r.rx = sess.RX
@@ -316,9 +315,6 @@ func RunWith(sess *session.Session, cfg RunConfig, scheme Scheme) RunResult {
 		})
 	}
 	r.zz = sess.OnlineReceiver(clients)
-	if DebugReceiverTrace != nil {
-		r.zz.Trace = DebugReceiverTrace
-	}
 
 	fr := &frame.Frame{Scheme: modem.BPSK, Payload: make([]byte, cfg.Payload)}
 	r.airtimeSamples = r.phyCfg.TotalSamples(modem.BPSK, fr.BitLen())
@@ -444,10 +440,6 @@ func (r *run) accountBits(f *frame.Frame, got []byte) {
 // (tests and diagnostics only).
 var DebugEpisodeHook func(ep mac.Episode, frames []*frame.Frame, acks []bool)
 
-// DebugReceiverTrace, when non-nil, is installed as the ZigZag
-// receiver's Trace callback.
-var DebugReceiverTrace func(format string, args ...any)
-
 // deliver is the MAC arbiter: it renders the episode through the channel
 // and runs the scheme's receiver.
 func (r *run) deliver(ep mac.Episode) []bool {
@@ -557,13 +549,9 @@ func (r *run) runCollisionFree(airtime time.Duration) RunResult {
 			var oc slotOutcome
 			sess.ResetRand(rng)
 			ar := arenaOf(sess)
-			if !r.cfg.Impair.Empty() && !impair.Disabled() {
+			if !r.cfg.Impair.Empty() {
 				// One trajectory stream per slot, drawn from the slot's
-				// trial rng so worker scheduling cannot reorder it. The
-				// Disabled guard matters: with the engine globally off,
-				// even consuming the Int63 would shift the slot's
-				// noise/phase stream and break the escape hatch's
-				// bit-identity contract.
+				// trial rng so worker scheduling cannot reorder it.
 				ch := ar.impair.Get(r.cfg.Impair)
 				ch.Reset(rng.Int63())
 				sess.Air.Impair = ch

@@ -143,17 +143,6 @@ func NewReceiver(cfg Config, clients []Client) *Receiver {
 	return core.NewReceiver(cfg, clients)
 }
 
-// SetPairwiseSIC forces (or releases) the legacy pairwise SIC
-// chunk-ordering policy for all subsequent decodes — the escape hatch
-// for the generalized k-way framework (also reachable via
-// ZIGZAG_PAIRWISE_SIC=1 and the CLIs' -pairwise-sic flag). Two-packet
-// decodes take the legacy policy either way; the hatch only matters for
-// collisions of three or more packets. Safe for concurrent use.
-func SetPairwiseSIC(v bool) { core.SetPairwiseSIC(v) }
-
-// PairwiseSIC reports whether the pairwise escape hatch is engaged.
-func PairwiseSIC() bool { return core.PairwiseSIC() }
-
 // NewTransmitter builds a PHY transmitter.
 func NewTransmitter(cfg PHYConfig) *Transmitter { return phy.NewTransmitter(cfg) }
 
