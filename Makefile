@@ -9,8 +9,13 @@
 #                     scratch is exercised across repeated calls
 #   make test-race-obs — race leg under the ZIGZAG_NO_OBS=1 switch
 #   make test-race-kern — race leg under the ZIGZAG_NAIVE_KERNELS=1 switch
+#   make fuzz-smoke — every Fuzz* target (found per package with
+#                     go test -list) fuzzed for FUZZTIME each (default
+#                     5s), beyond the seed corpora plain go test runs
 #   make bench      — paper-figure benchmarks (root package)
-#   make bench-correlate — naive-vs-FFT correlation engine benchmarks
+#   make bench-correlate — correlation engine benchmarks: naive vs FFT,
+#                      and the per-layer detect (two clients, one-shot
+#                      vs shared transform) and store-match costs
 #   make bench-decode — polyphase decode hot-path benchmarks
 #   make bench-impair — impairment-engine benchmarks: per-model costs
 #                      plus static-vs-impaired Air.MixInto
@@ -42,8 +47,9 @@
 #                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, lint as a separate job, and
-# `make bench-check` as a non-blocking perf canary.
+# and `make test-short` on two Go versions, lint and `make fuzz-smoke`
+# as separate jobs, and `make bench-check` as a non-blocking perf
+# canary.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -62,7 +68,7 @@ OBS_PKGS = ./internal/obs/... ./internal/core/... ./internal/phy/... ./internal/
 # paths, which agree with the kernels only to tolerance).
 KERN_PKGS = ./internal/dsp/... ./internal/impair/... ./internal/channel/... ./internal/phy/... ./internal/core/...
 
-.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
+.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs fuzz-smoke bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
 
 all: build
 
@@ -94,12 +100,25 @@ test-race-obs: build
 test-race-kern: build
 	ZIGZAG_NAIVE_KERNELS=1 $(GO) test -short -race -count=2 $(KERN_PKGS)
 
+# Fuzz time per target; go test -fuzz accepts one target per run.
+FUZZTIME ?= 5s
+
+fuzz-smoke: build
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
+
 bench: build
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 bench-correlate: build
 	$(GO) test -bench='BenchmarkCorrelateProfile|BenchmarkCrossover|BenchmarkFFT' -benchmem -run='^$$' ./internal/dsp/fft
-	$(GO) test -bench='BenchmarkLocatePacket' -benchmem -run='^$$' ./internal/core
+	$(GO) test -bench='BenchmarkDetectClients' -benchmem -run='^$$' ./internal/phy
+	$(GO) test -bench='BenchmarkLocatePacket|BenchmarkStoreMatch' -benchmem -run='^$$' ./internal/core
 
 bench-decode: build
 	$(GO) test -bench='BenchmarkBuildImage|BenchmarkTrackAndSubtract|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift' -benchmem -run='^$$' ./internal/phy

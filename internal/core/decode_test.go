@@ -24,7 +24,7 @@ type scenario struct {
 	truth  [][]byte // true frame bits per packet
 }
 
-func newScenario(t *testing.T, seed int64, payload int, snrsDB []float64, freqs []float64, noise float64) *scenario {
+func newScenario(t testing.TB, seed int64, payload int, snrsDB []float64, freqs []float64, noise float64) *scenario {
 	t.Helper()
 	s := &scenario{cfg: DefaultConfig()}
 	r := rand.New(rand.NewSource(seed))
@@ -54,7 +54,7 @@ func newScenario(t *testing.T, seed int64, payload int, snrsDB []float64, freqs 
 // offsets and builds the occurrence list from honest preamble detection
 // (falling back to Measure at the true position, which the matching
 // stage would have provided).
-func (s *scenario) collide(t *testing.T, rng *rand.Rand, noise float64, offsets []int) *Reception {
+func (s *scenario) collide(t testing.TB, rng *rand.Rand, noise float64, offsets []int) *Reception {
 	t.Helper()
 	maxEnd := 0
 	var ems []channel.Emission

@@ -114,29 +114,44 @@ type LocateResult struct {
 // least a preamble apart.
 func LocatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int) []LocateResult {
 	var s locateScratch
-	return locatePacket(cfg, stored, storedStart, fresh, max, &s)
+	return s.locatePacket(cfg, stored, storedStart, fresh, max)
 }
 
 // locateScratch carries the wide-window matcher's reusable working
-// storage: the correlation engine's transform buffers plus the profile
-// and rolling-energy vectors, which are as long as the fresh reception
-// and would otherwise dominate per-lookup allocation.
+// storage: the transforms and window energy of the buffer being
+// searched, which every stored-collision lookup of one loaded reception
+// shares (fft.Blocks decides the sharing: a lookup in any other buffer,
+// as the k-way assembly makes them, serves that buffer for itself and
+// ends it), the one-shot window reference, and the profile, score and
+// result vectors.
 type locateScratch struct {
-	corr   fft.Scratch
+	fresh  fft.Blocks    // transforms and window energy of the buffer searched
+	ref    fft.Reference // window of a one-shot lookup
 	prof   []complex128
-	energy []float64
+	scores []float64
+	out    []LocateResult
 }
 
-// locatePacket is LocatePacket with the working storage threaded in;
-// the online Receiver passes its own locateScratch so repeated store
-// lookups allocate nothing in steady state.
-func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int, s *locateScratch) []LocateResult {
+// locatePacket locates the packet starting at storedStart in stored
+// inside fresh, with the window reference built for this lookup alone.
+func (s *locateScratch) locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int) []LocateResult {
 	ref, skip := locateRef(cfg, stored, storedStart)
-	if ref == nil {
-		return nil
+	s.ref.Set(ref)
+	return s.locate(cfg, &s.ref, skip, fresh, max)
+}
+
+// locate slides the window win, which starts skip samples past its
+// packet's start, across fresh and returns up to max packet starts
+// (none for an unusable or silent window, or for a reception shorter
+// than the window). The returned slice is the scratch's, valid until
+// the next lookup.
+func (s *locateScratch) locate(cfg Config, win *fft.Reference, skip int, fresh []complex128, max int) []LocateResult {
+	w := len(win.Samples())
+	if w == 0 || len(fresh) < w {
+		return nil // no window, or no position to slide it to
 	}
-	s.prof = fft.Correlate(s.prof, fresh, ref, 0, &s.corr)
-	return s.pick(cfg, s.prof, fresh, ref, skip, max)
+	s.prof = s.fresh.Correlate(s.prof, fresh, win, 0)
+	return s.pick(cfg, s.prof, s.fresh.Energy(fresh, w), win.Samples(), skip, max)
 }
 
 // locateRef returns the stored packet's data window and the sample skip
@@ -157,47 +172,31 @@ func locateRef(cfg Config, stored []complex128, storedStart float64) (ref []comp
 	return stored[is : is+w], skip
 }
 
-// pick normalizes prof, the correlation of ref against fresh, by the
-// local window energy and returns up to max best packet starts (none
-// for a silent ref).
-func (s *locateScratch) pick(cfg Config, prof, fresh, ref []complex128, skip, max int) []LocateResult {
-	w := len(ref)
+// pick normalizes prof, the correlation of ref against a buffer whose
+// window energies are energy, by the local window energy and returns up
+// to max best packet starts (none for a silent ref). Each position is
+// scored once; candidates are then picked greedily, best first, spaced
+// at least a preamble apart (max is tiny, so re-scanning the scores per
+// pick beats sorting a profile-sized candidate list).
+func (s *locateScratch) pick(cfg Config, prof []complex128, energy []float64, ref []complex128, skip, max int) []LocateResult {
 	refE := dsp.Energy(ref)
 	if refE == 0 {
 		return nil
 	}
-	// Normalize per position by the local window energy.
-	var run float64
-	if cap(s.energy) < len(prof) {
-		s.energy = make([]float64, len(prof))
+	if cap(s.scores) < len(prof) {
+		s.scores = make([]float64, len(prof))
 	}
-	energy := s.energy[:len(prof)]
-	for i := 0; i < len(fresh); i++ {
-		v := fresh[i]
-		run += real(v)*real(v) + imag(v)*imag(v)
-		if i >= w {
-			u := fresh[i-w]
-			run -= real(u)*real(u) + imag(u)*imag(u)
-		}
-		if i >= w-1 {
-			energy[i-w+1] = run
-		}
+	scores := s.scores[:len(prof)]
+	energy = energy[:len(prof)]
+	for i, v := range prof {
+		scores[i] = (real(v)*real(v) + imag(v)*imag(v)) / (refE * energy[i])
 	}
-	// Pick peaks greedily, spaced at least a preamble apart, scanning
-	// the normalized scores in place (max is tiny, so re-deriving the
-	// score per pass beats materializing a profile-sized candidate
-	// list).
 	minSp := cfg.PHY.PreambleBits * cfg.PHY.SamplesPerSymbol
-	var out []LocateResult
+	out := s.out[:0]
 	for len(out) < max {
 		best, bi := 0.0, -1
-		for i := range prof {
-			if energy[i] <= 0 {
-				continue
-			}
-			m := real(prof[i])*real(prof[i]) + imag(prof[i])*imag(prof[i])
-			score := m / (refE * energy[i])
-			if score <= best {
+		for i, score := range scores {
+			if energy[i] <= 0 || score <= best {
 				continue
 			}
 			tooClose := false
@@ -216,6 +215,7 @@ func (s *locateScratch) pick(cfg Config, prof, fresh, ref []complex128, skip, ma
 		}
 		out = append(out, LocateResult{Pos: bi - skip, Score: math.Sqrt(best)})
 	}
+	s.out = out
 	return out
 }
 

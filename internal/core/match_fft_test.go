@@ -42,7 +42,7 @@ func TestLocatePacketFFTMatchesNaive(t *testing.T) {
 	got := LocatePacket(cfg, stored, start, fresh, 3)
 	ref, skip := locateRef(cfg, stored, start)
 	var s locateScratch
-	want := s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), fresh, ref, skip, 3)
+	want := s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), dsp.WindowEnergy(nil, fresh, len(ref)), ref, skip, 3)
 	if len(got) == 0 || got[0].Pos != wantPos {
 		t.Fatalf("FFT path: best candidate %+v, want pos %d", got, wantPos)
 	}
@@ -69,28 +69,72 @@ func BenchmarkLocatePacket(b *testing.B) {
 		var s locateScratch
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), fresh, ref, skip, 3)
+			s.pick(cfg, dsp.CorrelateProfile(fresh, ref, 0), dsp.WindowEnergy(nil, fresh, len(ref)), ref, skip, 3)
 		}
 	})
 	b.Run("fft", func(b *testing.B) {
 		var s locateScratch
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			locatePacket(cfg, stored, start, fresh, 3, &s)
+			s.locatePacket(cfg, stored, start, fresh, 3)
 		}
 	})
 }
 
 // TestLocatePacketSteadyStateAllocs pins the threaded-scratch
-// guarantee on the store-matching path: with a warmed locateScratch the
-// only steady-state allocation is the small result slice.
+// guarantee on the store-matching path: with a warmed locateScratch a
+// lookup allocates nothing, its result slice included, whether it
+// shares a loaded reception or loads its own.
 func TestLocatePacketSteadyStateAllocs(t *testing.T) {
 	cfg, stored, start, fresh, _ := syntheticLocateScenario(62, 1<<14)
 	var s locateScratch
-	locatePacket(cfg, stored, start, fresh, 3, &s)
+	s.locatePacket(cfg, stored, start, fresh, 3)
 	if allocs := testing.AllocsPerRun(10, func() {
-		locatePacket(cfg, stored, start, fresh, 3, &s)
-	}); allocs > 3 {
-		t.Errorf("steady-state locatePacket allocates %v times per run, want ≤3 (result-slice growth only)", allocs)
+		s.locatePacket(cfg, stored, start, fresh, 3)
+	}); allocs != 0 {
+		t.Errorf("steady-state one-shot lookup allocates %v times per run, want 0", allocs)
+	}
+	s.fresh.Load(fresh)
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.locatePacket(cfg, stored, start, fresh, 3)
+	}); allocs != 0 {
+		t.Errorf("steady-state shared lookup allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestLocateSharingSurvivesForeignLookups pins the shared fresh
+// reception against interleaved lookups in other buffers, as the k-way
+// assembly makes them: a short one (naive kernel) and a long one (FFT)
+// in between must leave the loaded reception's candidates exactly as a
+// one-shot LocatePacket finds them.
+func TestLocateSharingSurvivesForeignLookups(t *testing.T) {
+	cfg, stored, start, fresh, _ := syntheticLocateScenario(63, 1<<13)
+	want := LocatePacket(cfg, stored, start, fresh, 3)
+	// Faint copies: a stale window energy from either would inflate the
+	// loaded reception's scores by 10⁶ wherever it leaked.
+	faint := func(x []complex128) []complex128 {
+		out := make([]complex128, len(x))
+		for i, v := range x {
+			out[i] = v * 1e-3
+		}
+		return out
+	}
+	short := faint(fresh[len(fresh)/2 : len(fresh)/2+MatchWindow+40])
+	long := faint(fresh[:len(fresh)/2])
+	var s locateScratch
+	s.fresh.Load(fresh)
+	for _, other := range [][]complex128{nil, short, long} {
+		if other != nil {
+			s.locatePacket(cfg, stored, start, other, 3)
+		}
+		got := s.locatePacket(cfg, stored, start, fresh, 3)
+		if len(got) != len(want) {
+			t.Fatalf("after a lookup in %d samples: %+v, one-shot %+v", len(other), got, want)
+		}
+		for i := range got {
+			if got[i].Pos != want[i].Pos || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("after a lookup in %d samples: candidate %d %+v, one-shot %+v", len(other), i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"zigzag/internal/dsp"
+	"zigzag/internal/dsp/fft"
 	"zigzag/internal/frame"
 	"zigzag/internal/modem"
 	"zigzag/internal/obs"
@@ -48,14 +49,18 @@ type Receiver struct {
 	phy     *phy.Receiver
 	sync    *phy.Synchronizer
 	clients map[uint8]Client
+	// ids lists the client IDs in ascending order: detection and
+	// redetection visit clients in this order, never in map order.
+	ids []uint8
 
 	// loc is the wide-window store matcher's working storage
-	// (LocatePacket: transform buffers, profile, rolling energy); the
-	// preamble detector's scratch lives inside sync, det holds the
-	// collision detector's clustering/assignment arenas, and dec is the
-	// joint-decoder session threaded through every Decode this receiver
-	// runs. Receivers are single-goroutine, so the buffers are reused
-	// across receptions without locking.
+	// (LocatePacket: the fresh reception's transforms and rolling
+	// energy, profile, scores); the preamble detector's scratch lives
+	// inside sync, det holds the collision detector's
+	// clustering/assignment arenas, and dec is the joint-decoder session
+	// threaded through every Decode this receiver runs. Receivers are
+	// single-goroutine, so the buffers are reused across receptions
+	// without locking.
 	loc locateScratch
 	det detectScratch
 	dec Scratch
@@ -124,6 +129,10 @@ type Receiver struct {
 	// kwMatch indexes the stored collisions assembled by the k-way
 	// store matcher.
 	kwMatch []int
+	// joint and pair are the pairwise store matcher's aligned fresh
+	// reception and decode list.
+	joint Reception
+	pair  [2]*Reception
 }
 
 // obsOn reports whether an observer is attached; emission sites guard
@@ -170,6 +179,19 @@ type storedCollision struct {
 	clients []uint8      // per occurrence
 	buf     []complex128 // receiver-owned backing of rec.Samples
 	occs    []Occurrence // receiver-owned backing of rec.Packets
+	// wins caches, per occurrence, the wide-window locator's reference
+	// with its spectra, built on the first lookup and kept while the
+	// entry is stored; store drops them when it recycles the entry. A
+	// transient view (the k-way assembly's) has none and looks up with
+	// one-shot references.
+	wins []storedWindow
+}
+
+// storedWindow is one stored packet's locator window.
+type storedWindow struct {
+	set  bool // ref and skip are built
+	ref  fft.Reference
+	skip int
 }
 
 // NewReceiver builds an online ZigZag receiver.
@@ -198,8 +220,9 @@ func (z *Receiver) Reinit(cfg Config, clients []Client) {
 	} else {
 		clear(z.clients)
 	}
+	z.ids = z.ids[:0]
 	for _, c := range clients {
-		z.clients[c.ID] = c
+		z.addClient(c)
 	}
 	z.MaxStored = 4
 	z.SkipStoreMatch = false
@@ -216,8 +239,17 @@ func (z *Receiver) Reinit(cfg Config, clients []Client) {
 // UpdateClient inserts or refreshes a client's coarse state. The
 // amplitude estimate counts as fresh from this reception on.
 func (z *Receiver) UpdateClient(c Client) {
-	z.clients[c.ID] = c
+	z.addClient(c)
 	z.ampStamp[c.ID] = z.recSeq
+}
+
+// addClient inserts or replaces a client, keeping ids sorted.
+func (z *Receiver) addClient(c Client) {
+	if _, ok := z.clients[c.ID]; !ok {
+		i, _ := slices.BinarySearch(z.ids, c.ID)
+		z.ids = slices.Insert(z.ids, i, c.ID)
+	}
+	z.clients[c.ID] = c
 }
 
 // StoredCollisions reports how many unmatched collisions are held.
@@ -274,8 +306,9 @@ func (z *Receiver) detect(rx []complex128) ([]Occurrence, []uint8) {
 	d := &z.det
 	preLen := z.cfg.PHY.PreambleBits * z.cfg.PHY.SamplesPerSymbol
 	d.hits = d.hits[:0]
-	for id, c := range z.clients {
-		for _, s := range z.detectClient(rx, c) {
+	z.sync.Load(rx) // every client's search shares one transform of rx
+	for _, id := range z.ids {
+		for _, s := range z.detectClient(rx, z.clients[id]) {
 			d.hits = append(d.hits, detHit{s, id})
 		}
 	}
@@ -283,8 +316,8 @@ func (z *Receiver) detect(rx []complex128) ([]Occurrence, []uint8) {
 		return nil, nil
 	}
 	// Cluster by position. The client tiebreak pins the order when two
-	// clients spike at the same sample (client map iteration is
-	// unordered); equal positions land in the same cluster either way.
+	// clients spike at the same sample; equal positions land in the same
+	// cluster either way.
 	slices.SortFunc(d.hits, func(a, b detHit) int {
 		if c := cmp.Compare(a.sync.RefPos, b.sync.RefPos); c != 0 {
 			return c
@@ -523,39 +556,12 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 	}
 
 	if !z.SkipStoreMatch {
-		// Search the store for a matching collision (§4.2.2): locate each
-		// stored packet inside the fresh reception by wide-window
-		// correlation — far more robust than re-detecting buried preambles —
-		// and jointly decode the pair.
-		for si, st := range z.stored {
-			joint, ok := z.alignStored(st, rx)
-			if !ok {
-				if z.obsOn() {
-					z.emit(obs.Event{Kind: obs.KindStoreAlignFail, A: int64(si)})
-				}
-				continue
-			}
-			jres, err := DecodeWith(&z.dec, z.cfg, z.metaFor(st.clients), []*Reception{st.rec, joint})
-			if err == nil && jres.AllOK() {
-				z.dropStored(si)
-				if z.obsOn() {
-					z.emit(obs.Event{Kind: obs.KindStoreJointOK, A: int64(si)})
-				}
-				return z.deliver(jres, st.clients, ViaZigzag, rec)
-			}
-			if z.obsOn() {
-				if err == nil {
-					for i := range jres.Packets {
-						z.emit(obs.Event{Kind: obs.KindStorePktErr, A: int64(si), B: int64(i), Str: errStr(jres.Packets[i].Err)})
-					}
-				} else {
-					z.emit(obs.Event{Kind: obs.KindStoreErr, A: int64(si), Str: errStr(err)})
-				}
-			}
+		if evs, ok := z.matchStored(rx, rec); ok {
+			return evs
 		}
 		// One stored collision plus the fresh reception give only two
 		// equations, so for k ≥ 3 simultaneous packets the pairwise loop
-		// above cannot succeed; assemble every stored collision of the same
+		// cannot succeed; assemble every stored collision of the same
 		// client set instead (§7's k-way extension).
 		if evs, ok := z.tryKWayStore(rx, rec, clients); ok {
 			return evs
@@ -578,6 +584,43 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 		return nil
 	}
 	return evs
+}
+
+// matchStored searches the store for a collision matching the fresh
+// reception rx (§4.2.2): it locates each stored packet inside rx by
+// wide-window correlation — far more robust than re-detecting buried
+// preambles — and jointly decodes the pair. Every lookup shares one
+// transform and window energy of rx, and each stored packet's window
+// spectrum is built once per stored entry.
+func (z *Receiver) matchStored(rx []complex128, rec *Reception) ([]Event, bool) {
+	z.loc.fresh.Load(rx)
+	for si, st := range z.stored {
+		if !z.alignStored(st, rx, &z.joint) {
+			if z.obsOn() {
+				z.emit(obs.Event{Kind: obs.KindStoreAlignFail, A: int64(si)})
+			}
+			continue
+		}
+		z.pair = [2]*Reception{st.rec, &z.joint}
+		jres, err := DecodeWith(&z.dec, z.cfg, z.metaFor(st.clients), z.pair[:])
+		if err == nil && jres.AllOK() {
+			z.dropStored(si)
+			if z.obsOn() {
+				z.emit(obs.Event{Kind: obs.KindStoreJointOK, A: int64(si)})
+			}
+			return z.deliver(jres, st.clients, ViaZigzag, rec), true
+		}
+		if z.obsOn() {
+			if err == nil {
+				for i := range jres.Packets {
+					z.emit(obs.Event{Kind: obs.KindStorePktErr, A: int64(si), B: int64(i), Str: errStr(jres.Packets[i].Err)})
+				}
+			} else {
+				z.emit(obs.Event{Kind: obs.KindStoreErr, A: int64(si), Str: errStr(err)})
+			}
+		}
+	}
+	return nil, false
 }
 
 // tryKWayStore generalizes store matching beyond the pair: a k-packet
@@ -671,8 +714,8 @@ func (z *Receiver) tryKWayStore(rx []complex128, rec *Reception, clients []uint8
 				ok := true
 				var freshRec *Reception = canon // stands when the fresh reception is canonical
 				for _, ob := range others {
-					aligned, okA := z.alignStored(cnView, ob.Samples)
-					if !okA {
+					aligned := &Reception{}
+					if !z.alignStored(cnView, ob.Samples, aligned) {
 						ok = false
 						break
 					}
@@ -748,7 +791,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	}
 	for _, ob := range others {
 		for _, oc := range ob.Packets {
-			ls := locatePacket(z.cfg, ob.Samples, oc.Sync.Start, cn.rec.Samples, 1, &z.loc)
+			ls := z.loc.locatePacket(z.cfg, ob.Samples, oc.Sync.Start, cn.rec.Samples, 1)
 			if len(ls) == 0 || ls[0].Score < z.cfg.matchThreshold() {
 				continue
 			}
@@ -759,7 +802,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	}
 	for i := range cands {
 		for _, ob := range others {
-			ls := locatePacket(z.cfg, cn.rec.Samples, cands[i].sync.Start, ob.Samples, 1, &z.loc)
+			ls := z.loc.locatePacket(z.cfg, cn.rec.Samples, cands[i].sync.Start, ob.Samples, 1)
 			if len(ls) > 0 && ls[0].Score >= z.cfg.matchThreshold() {
 				cands[i].evidence += ls[0].Score
 			}
@@ -972,7 +1015,9 @@ func (z *Receiver) decodeSingleReception(rx []complex128, occs []Occurrence, cli
 // no occurrence yet are searched for, and clients whose occurrence
 // failed to decode are *relocated*: their original position was likely a
 // data-correlation phantom of a stronger sender whose signal is now
-// gone, so the residual shows their true preamble cleanly.
+// gone, so the residual shows their true preamble cleanly. Clients are
+// visited in ascending ID, so clients added in one round extend the
+// occurrence list in that order.
 func (z *Receiver) redetect(residual []complex128, occs []Occurrence, clients []uint8, res *Result) ([]Occurrence, []uint8, bool) {
 	preLen := z.cfg.PHY.PreambleBits * z.cfg.PHY.SamplesPerSymbol
 	okPos := z.rdOk[:0]
@@ -991,25 +1036,28 @@ func (z *Receiver) redetect(residual []complex128, occs []Occurrence, clients []
 	outOccs := append(z.rdOccs[:0], occs...)
 	outClients := append(z.rdClients[:0], clients...)
 	changed := false
-	for id, c := range z.clients {
+	// The decoder rewrites its residual buffers in place, so the residual
+	// is loaded afresh every round.
+	z.sync.Load(residual)
+	for _, id := range z.ids {
 		idx, has := occIdx[id], hasOcc[id]
 		if has && idx < len(res.Packets) && res.Packets[idx].OK() {
 			continue // already decoded; leave it alone
 		}
-		var best *phy.Sync
-		for _, s := range z.detectClient(residual, c) {
-			s := s
+		var best phy.Sync
+		found := false
+		for _, s := range z.detectClient(residual, z.clients[id]) {
 			// When relocating, the old position is excluded: it already
 			// failed to decode, so whatever spikes there is not this
 			// client's preamble.
 			if has && absInt(s.RefPos-outOccs[idx].Sync.RefPos) < preLen/2 {
 				continue
 			}
-			if best == nil || s.Mag > best.Mag {
-				best = &s
+			if !found || s.Mag > best.Mag {
+				best, found = s, true
 			}
 		}
-		if best == nil {
+		if !found {
 			continue
 		}
 		clash := false
@@ -1024,11 +1072,11 @@ func (z *Receiver) redetect(residual []complex128, occs []Occurrence, clients []
 		}
 		if has {
 			if absInt(outOccs[idx].Sync.RefPos-best.RefPos) >= preLen/2 {
-				outOccs[idx] = Occurrence{Sync: *best}
+				outOccs[idx] = Occurrence{Sync: best}
 				changed = true
 			}
 		} else {
-			outOccs = append(outOccs, Occurrence{Sync: *best})
+			outOccs = append(outOccs, Occurrence{Sync: best})
 			outClients = append(outClients, id)
 			changed = true
 		}
@@ -1136,6 +1184,13 @@ func (z *Receiver) store(rec *Reception, clients []uint8) {
 	st.occs = append(st.occs[:0], rec.Packets...)
 	st.clients = append(st.clients[:0], clients...)
 	st.rec.Samples, st.rec.Packets = st.buf, st.occs
+	// A recycled entry's windows belong to its previous collision; their
+	// spectrum storage is kept.
+	st.wins = slices.Grow(st.wins[:0], len(st.occs))[:len(st.occs)]
+	for i := range st.wins {
+		st.wins[i].set = false
+		st.wins[i].ref.Set(nil)
+	}
 	z.stored = append(z.stored, st)
 	for len(z.stored) > max {
 		z.dropStored(0)
@@ -1149,18 +1204,36 @@ func (z *Receiver) dropStored(i int) {
 	z.stored[:cap(z.stored)][len(z.stored)] = nil // drop the tail reference
 }
 
+// locateStored locates packet i of a stored collision inside rx (up to
+// max candidates, best first), through the entry's cached window when
+// it has one.
+func (z *Receiver) locateStored(st *storedCollision, i int, rx []complex128, max int) []LocateResult {
+	start := st.rec.Packets[i].Sync.Start
+	if st.wins == nil {
+		return z.loc.locatePacket(z.cfg, st.rec.Samples, start, rx, max)
+	}
+	w := &st.wins[i]
+	if !w.set {
+		ref, skip := locateRef(z.cfg, st.rec.Samples, start)
+		w.ref.Set(ref)
+		w.skip, w.set = skip, true
+	}
+	return z.loc.locate(z.cfg, &w.ref, w.skip, rx, max)
+}
+
 // alignStored locates every packet of a stored collision inside a fresh
-// reception. The wide-window locator can latch onto the alignment of the
-// *other* packet the stored window also contains, so each candidate
-// position is validated by measuring the preamble there: a real packet
-// start shows a channel estimate consistent with the client's coarse
-// amplitude, a cross-alignment does not. All packets must be found above
-// the match threshold at mutually distinct positions; otherwise the
-// receptions do not match.
-func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception, bool) {
+// reception, writing the aligned reception into joint. The wide-window
+// locator can latch onto the alignment of the *other* packet the stored
+// window also contains, so each candidate position is validated by
+// measuring the preamble there: a real packet start shows a channel
+// estimate consistent with the client's coarse amplitude, a
+// cross-alignment does not. All packets must be found above the match
+// threshold at mutually distinct positions; otherwise the receptions do
+// not match.
+func (z *Receiver) alignStored(st *storedCollision, rx []complex128, joint *Reception) bool {
 	preLen := z.cfg.PHY.PreambleBits * z.cfg.PHY.SamplesPerSymbol
-	joint := &Reception{Samples: rx}
-	var positions []int
+	joint.Samples = rx
+	joint.Packets = joint.Packets[:0]
 	// With k ≥ 3 overlapping packets the window yields up to k-1
 	// cross-alignment peaks besides the true one, so widen the candidate
 	// list accordingly (the pair path keeps its historical 3).
@@ -1170,8 +1243,9 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 	}
 	for i, oc := range st.rec.Packets {
 		client := z.clients[st.clients[i]]
-		cands := locatePacket(z.cfg, st.rec.Samples, oc.Sync.Start, rx, maxCands, &z.loc)
-		var chosen *phy.Sync
+		cands := z.locateStored(st, i, rx, maxCands)
+		var chosen phy.Sync
+		found := false
 		for _, c := range cands {
 			if c.Score < z.cfg.matchThreshold() {
 				break
@@ -1180,8 +1254,8 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 			// preamble of each other (one-slot jitter is 20 samples);
 			// only near-identical positions clash.
 			clash := false
-			for _, p := range positions {
-				if absInt(p-c.Pos) < preLen/4 {
+			for j := range joint.Packets {
+				if absInt(joint.Packets[j].Sync.RefPos-c.Pos) < preLen/4 {
 					clash = true
 					break
 				}
@@ -1194,8 +1268,8 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 			// retransmission at a repeated offset would contribute no new
 			// equations either (§4.2.2 needs a different offset).
 			if !clash && len(st.rec.Packets) >= 3 {
-				for j, p := range positions {
-					dTarget := c.Pos - p
+				for j := range joint.Packets {
+					dTarget := c.Pos - joint.Packets[j].Sync.RefPos
 					dCanon := oc.Sync.RefPos - st.rec.Packets[j].Sync.RefPos
 					if absInt(dTarget-dCanon) < preLen/4 {
 						clash = true
@@ -1219,19 +1293,18 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 					continue // cross-alignment, not this packet's preamble
 				}
 			}
-			chosen = &sync
+			chosen, found = sync, true
 			break
 		}
-		if chosen == nil {
+		if !found {
 			if z.obsOn() {
 				for _, c := range cands {
 					z.emit(obs.Event{Kind: obs.KindAlignCand, A: int64(i), B: int64(c.Pos), F0: c.Score, F1: z.cfg.matchThreshold()})
 				}
 			}
-			return nil, false
+			return false
 		}
-		positions = append(positions, chosen.RefPos)
-		joint.Packets = append(joint.Packets, Occurrence{Packet: oc.Packet, Sync: *chosen})
+		joint.Packets = append(joint.Packets, Occurrence{Packet: oc.Packet, Sync: chosen})
 	}
-	return joint, true
+	return true
 }

@@ -23,7 +23,7 @@ func onlineClients(s *scenario) []Client {
 
 // render builds the raw reception samples without running detection (the
 // online receiver does its own).
-func (s *scenario) render(t *testing.T, rng *rand.Rand, noise float64, offsets []int) []complex128 {
+func (s *scenario) render(t testing.TB, rng *rand.Rand, noise float64, offsets []int) []complex128 {
 	t.Helper()
 	rec := s.collide(t, rng, noise, offsets)
 	return rec.Samples

@@ -191,9 +191,21 @@ func (pd PeakDetector) FindInto(dst []Peak, profile []complex128, refEnergy floa
 	if minSp <= 0 {
 		minSp = 1
 	}
+	// Most of a profile lies far below the threshold. A squared
+	// magnitude under thr²·(1−1e−9) proves |Γ| ≤ thr despite the
+	// rounding of both the square and the hypot, so those samples skip
+	// cmplx.Abs. The bound applies only where thr² is a finite normal
+	// number, where that rounding is relative.
+	var sqSkip float64
+	if t2 := thr * thr * (1 - 1e-9); thr > 0 && t2 >= 0x1p-1022 && !math.IsInf(t2, 1) {
+		sqSkip = t2
+	}
 	cands := dst[:0]
-	for i := range profile {
-		m := cmplx.Abs(profile[i])
+	for i, v := range profile {
+		if real(v)*real(v)+imag(v)*imag(v) < sqSkip {
+			continue
+		}
+		m := cmplx.Abs(v)
 		if m <= thr {
 			continue
 		}

@@ -92,7 +92,20 @@ func TestScrambledPairRoundTrip(t *testing.T) {
 			unit[i] = complex(1/float64(n), 0)
 		}
 		p.forwardScrambled(y)
-		p.inverseScrambledProduct(y, unit)
+		spec := append([]complex128(nil), y...)
+		out := make([]complex128, n)
+		p.inverseScrambledProduct(out, y, unit)
+		for i := range spec {
+			if y[i] != spec[i] {
+				t.Fatalf("n=%d: out-of-place inverse wrote its source at %d", n, i)
+			}
+		}
+		p.inverseScrambledProduct(y, y, unit)
+		for i := range out {
+			if y[i] != out[i] {
+				t.Fatalf("n=%d: in-place inverse differs from out-of-place at %d: %v vs %v", n, i, y[i], out[i])
+			}
+		}
 		if d := maxAbsDiff(x, y); d > 1e-11*vecScale(x) {
 			t.Errorf("n=%d: scrambled round-trip error %g", n, d)
 		}

@@ -146,6 +146,32 @@ func Energy(a []complex128) float64 {
 	return s
 }
 
+// WindowEnergy returns, in dst (reused when capacity allows), the
+// energy of every w-sample window of y, dst[i] = Σ|y[i..i+w)|², as one
+// running sum. It is empty when y is shorter than w or w < 1.
+func WindowEnergy(dst []float64, y []complex128, w int) []float64 {
+	n := len(y) - w + 1
+	if w < 1 || n < 1 {
+		return dst[:0]
+	}
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	var run float64
+	for i, v := range y {
+		run += real(v)*real(v) + imag(v)*imag(v)
+		if i >= w {
+			u := y[i-w]
+			run -= real(u)*real(u) + imag(u)*imag(u)
+		}
+		if i >= w-1 {
+			dst[i-w+1] = run
+		}
+	}
+	return dst
+}
+
 // Power returns the mean of |a[i]|², or 0 for an empty slice.
 func Power(a []complex128) float64 {
 	if len(a) == 0 {

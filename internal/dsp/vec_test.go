@@ -94,6 +94,30 @@ func TestDotEnergyConsistency(t *testing.T) {
 	}
 }
 
+// TestWindowEnergyMatchesDirectSums checks the running sum against
+// Energy of each window, including the single-sample and whole-buffer
+// windows, and the empty result when no window fits.
+func TestWindowEnergyMatchesDirectSums(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	y := randVec(r, 700)
+	for _, w := range []int{1, 64, 512, len(y)} {
+		got := WindowEnergy(nil, y, w)
+		if len(got) != len(y)-w+1 {
+			t.Fatalf("w=%d: %d windows, want %d", w, len(got), len(y)-w+1)
+		}
+		for i, e := range got {
+			if want := Energy(y[i : i+w]); math.Abs(e-want) > 1e-9*want {
+				t.Fatalf("w=%d: window %d energy %v, direct sum %v", w, i, e, want)
+			}
+		}
+	}
+	for _, w := range []int{0, len(y) + 1} {
+		if got := WindowEnergy(make([]float64, 3), y, w); len(got) != 0 {
+			t.Errorf("w=%d: %d windows, want none", w, len(got))
+		}
+	}
+}
+
 func TestPowerDB(t *testing.T) {
 	a := []complex128{1, 1, 1, 1}
 	if db := PowerDB(a); math.Abs(db) > 1e-12 {

@@ -45,25 +45,31 @@ func (s Sync) Theta(n float64) float64 {
 // Synchronizer runs preamble detection over received buffers.
 //
 // Correlation profiles are computed by the internal/dsp/fft engine
-// (overlap-save above the crossover length, the naive kernel below),
-// with the working buffers owned by the Synchronizer and reused across
-// calls so steady-state detection allocates nothing per buffer. A
-// Synchronizer must therefore not be shared by concurrent goroutines;
-// the Monte-Carlo harnesses construct one per trial.
+// (overlap-save above the crossover length, the naive kernel below).
+// The Synchronizer keeps the preamble spectrum for every client CFO it
+// has searched with, and the forward transform of the reception it is
+// searching, so the per-client searches of one reception transform it
+// once (see Load). The working buffers are reused across calls, so
+// steady-state detection allocates nothing per buffer. A Synchronizer
+// must therefore not be shared by concurrent goroutines; the
+// Monte-Carlo harnesses construct one per trial.
 type Synchronizer struct {
 	cfg     Config
-	wave    []complex128 // preamble chip waveform
-	energy  float64      // Σ|s[k]|²
-	corr    fft.Scratch  // correlation engine working storage
-	prof    []complex128 // reusable profile buffer (Detect only)
-	peakBuf []dsp.Peak   // reusable peak list (Detect only)
-	syncBuf []Sync       // reusable sync list (Detect only)
+	wave    []complex128  // preamble chip waveform
+	energy  float64       // Σ|s[k]|²
+	pre     fft.Reference // the preamble, with its spectra per plan size and CFO
+	rx      fft.Blocks    // transforms of the reception being searched
+	prof    []complex128  // reusable profile buffer (Detect only)
+	peakBuf []dsp.Peak    // reusable peak list (Detect only)
+	syncBuf []Sync        // reusable sync list (Detect only)
 }
 
 // NewSynchronizer builds a synchronizer for the configuration.
 func NewSynchronizer(cfg Config) *Synchronizer {
 	w := cfg.PreambleWave()
-	return &Synchronizer{cfg: cfg, wave: w, energy: dsp.Energy(w)}
+	sy := &Synchronizer{cfg: cfg, wave: w, energy: dsp.Energy(w)}
+	sy.pre.Set(w)
+	return sy
 }
 
 // PreambleEnergy returns Σ|s[k]|² of the reference waveform.
@@ -71,6 +77,15 @@ func (sy *Synchronizer) PreambleEnergy() float64 { return sy.energy }
 
 // PreambleSamples returns the preamble length in samples.
 func (sy *Synchronizer) PreambleSamples() []complex128 { return sy.wave }
+
+// Load declares rx the reception that the following Detect, DetectFor
+// and Profile calls on rx search, so that they share one forward
+// transform of it: the first search transforms it and the others
+// reuse that. Sharing is tied to this call, never to the slice alone: a
+// buffer rewritten in place must be loaded again before it is searched,
+// and a search of any buffer that was not loaded transforms that buffer
+// for itself and ends the sharing.
+func (sy *Synchronizer) Load(rx []complex128) { sy.rx.Load(rx) }
 
 // Detect finds every preamble occurrence in rx for a sender with the
 // given coarse frequency offset (radians/sample), using the threshold
@@ -85,7 +100,7 @@ func (sy *Synchronizer) PreambleSamples() []complex128 { return sy.wave }
 // retain syncs across detections copy the values out (Sync is a plain
 // value type).
 func (sy *Synchronizer) Detect(rx []complex128, freq, beta, refAmp float64) []Sync {
-	sy.prof = fft.Correlate(sy.prof, rx, sy.wave, freq, &sy.corr)
+	sy.prof = sy.rx.Correlate(sy.prof, rx, &sy.pre, freq)
 	pd := dsp.PeakDetector{Beta: beta, RefAmp: refAmp, MinSpacing: len(sy.wave) / 2}
 	sy.peakBuf = pd.FindInto(sy.peakBuf, sy.prof, sy.energy)
 	syncs := sy.syncBuf[:0]
@@ -101,7 +116,7 @@ func (sy *Synchronizer) Detect(rx []complex128, freq, beta, refAmp float64) []Sy
 // returned slice is freshly allocated (unlike Detect's internal buffer)
 // and remains valid across further Synchronizer calls.
 func (sy *Synchronizer) Profile(rx []complex128, freq float64) []complex128 {
-	return fft.Correlate(nil, rx, sy.wave, freq, &sy.corr)
+	return sy.rx.Correlate(nil, rx, &sy.pre, freq)
 }
 
 // Measure re-estimates the sync at a known approximate position (±slack

@@ -10,7 +10,7 @@ import (
 
 // collisionBuffer builds a buffer with two preamble-led packets over
 // noise, the detector's realistic input shape.
-func collisionBuffer(t *testing.T, cfg Config, seed int64, n int) []complex128 {
+func collisionBuffer(t testing.TB, cfg Config, seed int64, n int) []complex128 {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	rx := make([]complex128, n)
@@ -81,25 +81,28 @@ func TestDetectScratchReuse(t *testing.T) {
 	}
 }
 
-// TestDetectSteadyStateAllocs bounds the steady-state detect path: with
-// the profile and transform buffers owned by the Synchronizer, per-call
-// allocations are limited to the returned peak/sync slices and do not
-// scale with the buffer length.
+// TestDetectSteadyStateAllocs pins the steady-state detect path: with
+// the profile, transform, spectrum and peak buffers owned by the
+// Synchronizer, a Detect allocates nothing, on a loaded reception or
+// not, at any buffer length.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	cfg := Default()
 	small := collisionBuffer(t, cfg, 53, 1<<12)
 	large := collisionBuffer(t, cfg, 53, 1<<15)
 	sy := NewSynchronizer(cfg)
 	sy.Detect(large, 0.002, 0.5, 1) // warm buffers to the largest size
-	measure := func(rx []complex128) float64 {
-		return testing.AllocsPerRun(20, func() { sy.Detect(rx, 0.002, 0.5, 1) })
-	}
-	aSmall, aLarge := measure(small), measure(large)
-	if aLarge > 12 {
-		t.Errorf("steady-state Detect allocates %v times per run, want ≤12 (result slices and sort scratch only)", aLarge)
-	}
-	if aLarge > aSmall {
-		t.Errorf("Detect allocations grow with buffer size (%v → %v); profile buffer not reused", aSmall, aLarge)
+	sy.Detect(small, 0.002, 0.5, 1) // and the small buffer's plan size
+	for _, rx := range [][]complex128{small, large} {
+		if n := testing.AllocsPerRun(20, func() { sy.Detect(rx, 0.002, 0.5, 1) }); n != 0 {
+			t.Errorf("steady-state Detect on %d samples allocates %v times per run, want 0", len(rx), n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			sy.Load(rx)
+			sy.DetectFor(rx, 0.002, 0.5, 1)
+			sy.DetectFor(rx, -0.001, 0.5, 1)
+		}); n != 0 {
+			t.Errorf("steady-state loaded DetectFor on %d samples allocates %v times per run, want 0", len(rx), n)
+		}
 	}
 	// The profile itself must come from the reusable buffer: Profile
 	// (the diagnostic API) returns a fresh copy instead.
@@ -108,4 +111,55 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	if &p1[0] == &p2[0] {
 		t.Error("Profile returned the internal buffer; successive calls alias")
 	}
+}
+
+// TestLoadSharesTransformExactly pins the shared search: the searches of
+// one loaded reception, at several CFOs and in any order, find exactly
+// what a fresh Synchronizer finds on each, and a reception rewritten in
+// place is searched afresh once loaded again.
+func TestLoadSharesTransformExactly(t *testing.T) {
+	cfg := Default()
+	rx := collisionBuffer(t, cfg, 54, 2048)
+	freqs := []float64{0.002, -0.0015, 0.004}
+	want := func(rx []complex128, f float64) []Sync {
+		return append([]Sync(nil), NewSynchronizer(cfg).DetectFor(rx, f, 0.5, 1)...)
+	}
+	sy := NewSynchronizer(cfg)
+	for round := 0; round < 2; round++ {
+		sy.Load(rx)
+		for i := range freqs {
+			f := freqs[(i+round)%len(freqs)]
+			if got := sy.DetectFor(rx, f, 0.5, 1); !reflect.DeepEqual(got, want(rx, f)) {
+				t.Fatalf("round %d freq %v: loaded search diverged from a fresh one", round, f)
+			}
+		}
+		copy(rx, collisionBuffer(t, cfg, 55+int64(round), len(rx))) // rewrite in place
+	}
+}
+
+// BenchmarkDetectClients measures the online receiver's detection shape:
+// two client CFOs searched over one 2,048-sample reception. "oneshot"
+// transforms the reception once per client; "shared" loads it once and
+// both searches reuse that transform.
+func BenchmarkDetectClients(b *testing.B) {
+	cfg := Default()
+	rx := collisionBuffer(b, cfg, 56, 2048)
+	freqs := []float64{0.003, -0.002}
+	b.Run("oneshot", func(b *testing.B) {
+		sy := NewSynchronizer(cfg)
+		for i := 0; i < b.N; i++ {
+			for _, f := range freqs {
+				sy.DetectFor(rx, f, 0.65, 1)
+			}
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		sy := NewSynchronizer(cfg)
+		for i := 0; i < b.N; i++ {
+			sy.Load(rx)
+			for _, f := range freqs {
+				sy.DetectFor(rx, f, 0.65, 1)
+			}
+		}
+	})
 }
