@@ -16,7 +16,8 @@
 #   make bench-correlate — correlation engine benchmarks: naive vs FFT,
 #                      and the per-layer detect (two clients, one-shot
 #                      vs shared transform) and store-match costs
-#   make bench-decode — polyphase decode hot-path benchmarks
+#   make bench-decode — decode hot-path benchmarks: polyphase re-encode
+#                     and decode, the ISI fit and equalizer training
 #   make bench-impair — impairment-engine benchmarks: per-model costs
 #                      plus static-vs-impaired Air.MixInto
 #   make bench-check — session-engine benchmark-regression gate:
@@ -47,9 +48,9 @@
 #                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, lint and `make fuzz-smoke`
-# as separate jobs, and `make bench-check` as a non-blocking perf
-# canary.
+# and `make test-short` on two Go versions, lint, `make fuzz-smoke` and
+# the zzbench module's unit tests as separate jobs, and
+# `make bench-check` as a non-blocking perf canary.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -121,7 +122,7 @@ bench-correlate: build
 	$(GO) test -bench='BenchmarkLocatePacket|BenchmarkStoreMatch' -benchmem -run='^$$' ./internal/core
 
 bench-decode: build
-	$(GO) test -bench='BenchmarkBuildImage|BenchmarkTrackAndSubtract|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift' -benchmem -run='^$$' ./internal/phy
+	$(GO) test -bench='BenchmarkBuildImage|BenchmarkTrackAndSubtract|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift|BenchmarkFitISI|BenchmarkTrainEqualizer' -benchmem -run='^$$' ./internal/phy
 
 bench-impair: build
 	$(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair

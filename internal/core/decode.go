@@ -41,7 +41,9 @@ type pktState struct {
 	bwdDownTo int // symbols ≥ bwdDownTo are committed backward
 
 	// shape is the normalized ISI signature of this sender's link,
-	// fitted once on a clean stretch and shared across receptions.
+	// fitted once on a clean stretch and shared across receptions. Its
+	// taps live in packet-owned backing that Scratch keeps across
+	// decodes.
 	shape    dsp.FIR
 	hasShape bool
 
@@ -587,7 +589,7 @@ func (d *decoder) fitShape(o *occState, loSym, hiSym int) {
 	if err := m.FitISI(o.r.res, o.p.chips, loChip, hiChip); err != nil {
 		return
 	}
-	if shape, ok := m.Shape(); ok {
+	if shape, ok := m.Shape(o.p.shape.Taps); ok {
 		o.p.shape = shape
 		o.p.hasShape = true
 	}

@@ -140,69 +140,6 @@ func (f FIR) String() string {
 	return fmt.Sprintf("FIR{center=%d taps=%v}", f.Center, f.Taps)
 }
 
-// Invert computes a truncated inverse filter g such that (f*g)[n] ≈ δ[n],
-// with one-sided support width on each side. It solves the least-squares
-// system that matches the combined response to a unit impulse. ZigZag uses
-// this to turn the decoder's equalizer back into a channel model when
-// reconstructing the received image of a chunk (§4.2.4d: "we can take the
-// filter from the decoder and invert it").
-//
-// Invert returns an error if the filter is numerically singular.
-func (f FIR) Invert(width int) (FIR, error) {
-	if width < 0 {
-		width = len(f.Taps)
-	}
-	m := 2*width + 1 // unknown taps of g, indexed -width..width
-	// Build the convolution matrix: for each output lag d in
-	// [-(width+Cf) .. width+Cb] the combined impulse response is
-	// r[d] = Σ_k f2[k] g2[d-k], where f2/g2 are two-sided tap views.
-	cf := f.Center
-	cb := len(f.Taps) - 1 - f.Center
-	lo, hi := -(width + cf), width+cb
-	rows := hi - lo + 1
-	a := make([][]float64, 0, 2*rows) // real-ified system (complex → 2x2 blocks folded)
-	b := make([]float64, 0, 2*rows)
-	// We solve the complex least-squares problem by stacking real and
-	// imaginary parts: each complex equation gives two real equations and
-	// each complex unknown gives two real unknowns (re, im).
-	ftap := func(k int) complex128 { // two-sided tap f at lag k (k in [-cf, cb])
-		idx := f.Center + k
-		if idx < 0 || idx >= len(f.Taps) {
-			return 0
-		}
-		// Taps[j] multiplies x[n+Center-j] ⇒ lag of Taps[j] is j-Center.
-		return f.Taps[idx]
-	}
-	for d := lo; d <= hi; d++ {
-		rowRe := make([]float64, 2*m)
-		rowIm := make([]float64, 2*m)
-		for g := -width; g <= width; g++ {
-			c := ftap(d - g)
-			j := g + width
-			// (cr+j·ci)(gr+j·gi) = (cr·gr − ci·gi) + j(ci·gr + cr·gi)
-			rowRe[2*j] += real(c)
-			rowRe[2*j+1] += -imag(c)
-			rowIm[2*j] += imag(c)
-			rowIm[2*j+1] += real(c)
-		}
-		var tr, ti float64
-		if d == 0 {
-			tr = 1
-		}
-		a = append(a, rowRe, rowIm)
-		b = append(b, tr, ti)
-	}
-	sol, err := SolveLeastSquares(a, b)
-	if err != nil {
-		return FIR{}, fmt.Errorf("dsp: cannot invert %v: %w", f, err)
-	}
-	taps := make([]complex128, m)
-	for j := 0; j < m; j++ {
-		taps[j] = complex(sol[2*j], sol[2*j+1])
-	}
-	return FIR{Taps: taps, Center: width}, nil
-}
-
 // Convolve returns the filter equivalent to applying f then g.
 func (f FIR) Convolve(g FIR) FIR {
 	n := len(f.Taps) + len(g.Taps) - 1

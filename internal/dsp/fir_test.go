@@ -103,63 +103,13 @@ func TestConvolveMatchesSequentialApply(t *testing.T) {
 	}
 }
 
-func TestInvertRecoversImpulse(t *testing.T) {
-	f := NewFIR([]complex128{0.15 + 0.05i, 1, 0.25 - 0.1i})
-	inv, err := f.Invert(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb := f.Convolve(inv)
-	// Combined response should be ≈ δ at the combined center.
-	for i, tap := range comb.Taps {
-		want := complex128(0)
-		if i == comb.Center {
-			want = 1
-		}
-		if cmplx.Abs(tap-want) > 0.02 {
-			t.Fatalf("combined tap %d = %v, want %v", i-comb.Center, tap, want)
-		}
-	}
-}
-
-func TestInvertRoundTripsSignal(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	f := NewFIR([]complex128{0.1, 1, 0.3i})
-	inv, err := f.Invert(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(r, 128)
-	y := inv.Apply(nil, f.Apply(nil, x))
-	for i := 16; i < 112; i++ {
-		if !approxC(y[i], x[i], 0.05) {
-			t.Fatalf("round trip mismatch at %d: %v vs %v", i, y[i], x[i])
-		}
-	}
-}
-
-func TestInvertIdentityIsIdentity(t *testing.T) {
-	inv, err := Identity().Invert(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tap := range inv.Taps {
-		want := complex128(0)
-		if i == inv.Center {
-			want = 1
-		}
-		if cmplx.Abs(tap-want) > 1e-6 {
-			t.Fatalf("inverse of identity has tap %d = %v", i-inv.Center, tap)
-		}
-	}
-}
-
 func TestEstimateFIRRecoversChannel(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	truth := NewFIR([]complex128{0.2 - 0.1i, 0.9 + 0.3i, 0.15})
 	x := randVec(r, 300)
 	y := truth.Apply(nil, x)
-	est, err := EstimateFIR(x, y, 5, 295, 1)
+	var s LSQ
+	est, err := s.EstimateFIR(x, y, 5, 295, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +122,8 @@ func TestEstimateFIRRecoversChannel(t *testing.T) {
 
 func TestEstimateFIRTooFewSamples(t *testing.T) {
 	x := make([]complex128, 4)
-	if _, err := EstimateFIR(x, x, 0, 2, 3); err == nil {
+	var s LSQ
+	if _, err := s.EstimateFIR(x, x, 0, 2, 3); err == nil {
 		t.Fatal("expected error for underdetermined fit")
 	}
 }

@@ -1,224 +1,41 @@
 package dsp
 
-// LSQ is reusable working storage for the small least-squares solves
-// (equalizer training, re-encoding FIR estimation). The free functions
-// in solve.go allocate their row/normal-equation matrices per call,
-// which is fine for one-shot fits but shows up as steady GC pressure
-// when the Monte-Carlo harnesses fit a channel model per trial; an LSQ
+import (
+	"math"
+	"math/cmplx"
+)
+
+// LSQ is reusable working storage for the sliding-window least-squares
+// fits: the re-encoding ISI filter (§4.2.4d) and the decoder's
+// symbol-spaced equalizer. Both are EstimateFIR problems whose rows are
+// windows of one waveform, so the normal equations come from m
+// autocorrelation lags plus O(m²) edge corrections instead of a row-by-row
+// accumulation, and a Hermitian Cholesky factorization solves them. An LSQ
 // owned by the fitting object (phy.Modeler, phy.SymbolDecoder) makes
 // those fits allocation-free in steady state.
 //
-// Every method performs arithmetic identical to its free-function
-// counterpart — same accumulation order, same pivoting — so fits are
-// bit-identical whichever entry point runs them (the solver tests pin
-// this). Returned slices are the scratch itself: valid until the next
-// call on the same LSQ, to be copied by callers that retain them.
+// Returned taps are the scratch itself: valid until the next call on the
+// same LSQ, to be copied by callers that retain them.
 //
 // An LSQ must not be shared by concurrent goroutines.
 type LSQ struct {
-	// Complex row system (EstimateFIR / SolveComplexLeastSquares).
-	crows [][]complex128
-	cflat []complex128
-	crhs  []complex128
-	ctaps []complex128
-
-	// Stacked real system (SolveComplexLeastSquares).
-	rrows [][]float64
-	rflat []float64
-	rrhs  []float64
-
-	// Normal equations (SolveLeastSquares) and solution vector.
-	ata     [][]float64
-	ataFlat []float64
-	atb     []float64
-	x       []float64
+	gram []complex128 // m×m Gram matrix, row-major upper triangle; its Cholesky factor in place
+	sol  []complex128 // right-hand side, solved in place into the taps
 }
 
-// ensureF is ensure (vec.go) for float64 scratch slices.
-func ensureF(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	return dst[:n]
-}
-
-// rowViewsF carves rows of width w out of a flat arena, reusing both
-// the header slice and the backing array.
-func rowViewsF(rows [][]float64, flat []float64, n, w int) ([][]float64, []float64) {
-	flat = ensureF(flat, n*w)
-	if cap(rows) < n {
-		rows = make([][]float64, n)
-	}
-	rows = rows[:n]
-	for i := range rows {
-		rows[i] = flat[i*w : (i+1)*w]
-	}
-	return rows, flat
-}
-
-// rowViewsC is rowViewsF for complex rows.
-func rowViewsC(rows [][]complex128, flat []complex128, n, w int) ([][]complex128, []complex128) {
-	flat = ensure(flat, n*w)
-	if cap(rows) < n {
-		rows = make([][]complex128, n)
-	}
-	rows = rows[:n]
-	for i := range rows {
-		rows[i] = flat[i*w : (i+1)*w]
-	}
-	return rows, flat
-}
-
-// SolveLinear solves the square system M·x = v by Gaussian elimination
-// with partial pivoting, exactly as the free SolveLinear. M is modified
-// in place; the returned x is scratch.
-func (s *LSQ) SolveLinear(m [][]float64, v []float64) ([]float64, error) {
-	n := len(m)
-	if n == 0 || len(v) != n {
-		return nil, ErrSingular
-	}
-	s.x = ensureF(s.x, n)
-	x := s.x
-	copy(x, v)
-	for col := 0; col < n; col++ {
-		p, best := col, abs64(m[col][col])
-		for r := col + 1; r < n; r++ {
-			if ab := abs64(m[r][col]); ab > best {
-				p, best = r, ab
-			}
-		}
-		if best == 0 || best != best { // 0 or NaN
-			return nil, ErrSingular
-		}
-		m[col], m[p] = m[p], m[col]
-		x[col], x[p] = x[p], x[col]
-		inv := 1 / m[col][col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			m[r][col] = 0
-			for c := col + 1; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		sum := x[col]
-		for c := col + 1; c < n; c++ {
-			sum -= m[col][c] * x[c]
-		}
-		x[col] = sum / m[col][col]
-	}
-	return x, nil
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// SolveLeastSquares forms and solves the ridge-stabilized normal
-// equations exactly as the free SolveLeastSquares; the returned x is
-// scratch.
-func (s *LSQ) SolveLeastSquares(a [][]float64, b []float64) ([]float64, error) {
-	if len(a) == 0 {
-		return nil, ErrSingular
-	}
-	if len(a) != len(b) {
-		return nil, errDimensionMismatch
-	}
-	n := len(a[0])
-	if n == 0 {
-		return nil, ErrSingular
-	}
-	s.ata, s.ataFlat = rowViewsF(s.ata, s.ataFlat, n, n)
-	s.atb = ensureF(s.atb, n)
-	ata, atb := s.ata, s.atb
-	for i := range ata {
-		row := ata[i]
-		for j := range row {
-			row[j] = 0
-		}
-		atb[i] = 0
-	}
-	var scale float64
-	for r, row := range a {
-		if len(row) != n {
-			return nil, errRaggedMatrix
-		}
-		for i := 0; i < n; i++ {
-			if row[i] == 0 {
-				continue
-			}
-			for j := i; j < n; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-			atb[i] += row[i] * b[r]
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
-		}
-		if ata[i][i] > scale {
-			scale = ata[i][i]
-		}
-	}
-	if scale == 0 {
-		return nil, ErrSingular
-	}
-	ridge := scale * 1e-9
-	for i := 0; i < n; i++ {
-		ata[i][i] += ridge
-	}
-	return s.SolveLinear(ata, atb)
-}
-
-// SolveComplexLeastSquares stacks the complex system into real rows
-// exactly as the free SolveComplexLeastSquares; the returned solution
-// is scratch.
-func (s *LSQ) SolveComplexLeastSquares(a [][]complex128, b []complex128) ([]complex128, error) {
-	if len(a) == 0 || len(a) != len(b) {
-		return nil, ErrSingular
-	}
-	n := len(a[0])
-	s.rrows, s.rflat = rowViewsF(s.rrows, s.rflat, 2*len(a), 2*n)
-	s.rrhs = ensureF(s.rrhs, 2*len(a))
-	for r, row := range a {
-		rowRe, rowIm := s.rrows[2*r], s.rrows[2*r+1]
-		if len(row) < n {
-			// Short rows are zero-padded (the allocate-per-call path got
-			// this for free from fresh rows; the arena must clear the
-			// stale tail explicitly).
-			for j := 2 * len(row); j < 2*n; j++ {
-				rowRe[j], rowIm[j] = 0, 0
-			}
-		}
-		for j, c := range row {
-			rowRe[2*j], rowRe[2*j+1] = real(c), -imag(c)
-			rowIm[2*j], rowIm[2*j+1] = imag(c), real(c)
-		}
-		s.rrhs[2*r], s.rrhs[2*r+1] = real(b[r]), imag(b[r])
-	}
-	sol, err := s.SolveLeastSquares(s.rrows, s.rrhs)
-	if err != nil {
-		return nil, err
-	}
-	s.ctaps = ensure(s.ctaps, n)
-	for j := range s.ctaps {
-		s.ctaps[j] = complex(sol[2*j], sol[2*j+1])
-	}
-	return s.ctaps, nil
-}
-
-// EstimateFIR fits the re-encoding FIR exactly as the free EstimateFIR.
-// The returned FIR's taps are scratch: copy them before the next call
-// on this LSQ.
+// EstimateFIR fits a two-sided FIR filter of one-sided width w that best
+// maps the known input x onto the observed output y over the sample range
+// [from, to): y[n] ≈ Σ_l g[l]·x[n−l]. It is the decision-directed channel
+// estimator ZigZag uses to model a sender's ISI before re-encoding a chunk
+// (§4.2.4d), fitted by complex least squares over already-decoded symbols.
+// Only rows whose whole window x[n−w : n+w+1] lies inside x take part.
+//
+// The normal equations carry a ridge of 1e-9 × the largest diagonal
+// entry. EstimateFIR returns ErrSingular for a span shorter than 2w+1, a
+// zero or non-finite scale, a non-positive or NaN Cholesky pivot, and any
+// non-finite tap, so a NaN or Inf sample that a row reads is an error.
+// The returned FIR's taps are scratch: copy them before the next call on
+// this LSQ.
 func (s *LSQ) EstimateFIR(x, y []complex128, from, to, w int) (FIR, error) {
 	if from < 0 {
 		from = 0
@@ -233,29 +50,99 @@ func (s *LSQ) EstimateFIR(x, y []complex128, from, to, w int) (FIR, error) {
 	if to-from < m {
 		return FIR{}, ErrSingular
 	}
-	s.crows, s.cflat = rowViewsC(s.crows, s.cflat, to-from, m)
-	s.crhs = ensure(s.crhs, to-from)
-	used := 0
-	for n := from; n < to; n++ {
-		row := s.crows[used]
-		ok := true
-		for l := -w; l <= w; l++ {
-			i := n - l
-			if i < 0 || i >= len(x) {
-				ok = false
-				break
+	// Rows [q0, q1); row n, column k reads x[n+w−k]. A span of at least
+	// m samples inside x always holds one such row.
+	q0, q1 := max(from, w), min(to, len(x)-w)
+	s.gram = ensure(s.gram, m*m)
+	s.sol = ensure(s.sol, m)
+	g, b := s.gram, s.sol
+	// G[j][k] = Σₙ conj(x[n+w−j])·x[n+w−k] and b[j] = Σₙ conj(x[n+w−j])·y[n].
+	// Row 0 is m lags of x; each later row of the upper triangle is the
+	// row above shifted one sample earlier, which enters sample in and
+	// drops sample out: G[j][j+d] = G[j−1][j−1+d] + conj(x[in])·x[in−d] −
+	// conj(x[out])·x[out−d].
+	lead := x[q0+w : q1+w]
+	for d := 0; d < m; d++ {
+		g[d] = Dot(x[q0+w-d:q1+w-d], lead)
+	}
+	ys := y[q0:q1]
+	for j := 0; j < m; j++ {
+		b[j] = Dot(ys, x[q0+w-j:q1+w-j])
+	}
+	for j := 1; j < m; j++ {
+		in, out := q0+w-j, q1+w-j
+		cin, cout := cmplx.Conj(x[in]), cmplx.Conj(x[out])
+		for k := j; k < m; k++ {
+			d := k - j
+			g[j*m+k] = g[(j-1)*m+k-1] + cin*x[in-d] - cout*x[out-d]
+		}
+	}
+	var scale float64
+	for j := 0; j < m; j++ {
+		if d := real(g[j*m+j]); d > scale {
+			scale = d
+		}
+	}
+	if scale == 0 || math.IsInf(scale, 1) {
+		return FIR{}, ErrSingular
+	}
+	ridge := complex(scale*1e-9, 0)
+	for j := 0; j < m; j++ {
+		g[j*m+j] += ridge
+	}
+	if !choleskySolve(g, b, m) {
+		return FIR{}, ErrSingular
+	}
+	for _, t := range b {
+		if cmplx.IsNaN(t) || cmplx.IsInf(t) {
+			return FIR{}, ErrSingular
+		}
+	}
+	return FIR{Taps: b, Center: w}, nil
+}
+
+// choleskySolve solves G·x = b in place for the m×m Hermitian positive
+// definite G whose upper triangle is stored row-major in g: it factors
+// G = Rᴴ·R into g's upper triangle, then overwrites b with x by forward
+// and back substitution. It reports false on a non-positive or NaN pivot.
+func choleskySolve(g, b []complex128, m int) bool {
+	for j := 0; j < m; j++ {
+		p := real(g[j*m+j])
+		for i := 0; i < j; i++ {
+			r := g[i*m+j]
+			p -= real(r)*real(r) + imag(r)*imag(r)
+		}
+		if !(p > 0) {
+			return false
+		}
+		d := math.Sqrt(p)
+		g[j*m+j] = complex(d, 0)
+		inv := 1 / d
+		for k := j + 1; k < m; k++ {
+			v := g[j*m+k]
+			for i := 0; i < j; i++ {
+				v -= cmplx.Conj(g[i*m+j]) * g[i*m+k]
 			}
-			row[l+w] = x[i]
+			g[j*m+k] = complex(real(v)*inv, imag(v)*inv)
 		}
-		if !ok {
-			continue
+	}
+	// Rᴴ·z = b.
+	for j := 0; j < m; j++ {
+		v := b[j]
+		for i := 0; i < j; i++ {
+			v -= cmplx.Conj(g[i*m+j]) * b[i]
 		}
-		s.crhs[used] = y[n]
-		used++
+		inv := 1 / real(g[j*m+j])
+		b[j] = complex(real(v)*inv, imag(v)*inv)
 	}
-	taps, err := s.SolveComplexLeastSquares(s.crows[:used], s.crhs[:used])
-	if err != nil {
-		return FIR{}, err
+	// R·x = z.
+	for j := m - 1; j >= 0; j-- {
+		v := b[j]
+		for k := j + 1; k < m; k++ {
+			v -= g[j*m+k] * b[k]
+		}
+		inv := 1 / real(g[j*m+j])
+		b[j] = complex(real(v)*inv, imag(v)*inv)
 	}
-	return FIR{Taps: taps, Center: w}, nil
+	return true
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -130,10 +131,32 @@ func TestBuildImagePolyphaseMatchesNaive(t *testing.T) {
 	}
 }
 
+// chipAt is the per-chip reference for fillRaw: interpolate chip m at
+// its fractional position, remove the carrier rotation model, normalize
+// by |Ĥ|.
+func (d *SymbolDecoder) chipAt(rx []complex128, m int) complex128 {
+	pos := d.sync.Start + float64(m)
+	v := d.interp.At(rx, pos)
+	s, c := math.Sincos(-d.sync.Theta(pos))
+	return v * complex(c, s) * complex(d.invAmp, 0)
+}
+
+// rawSymbol is the per-symbol reference for fillRaw: the matched-filter
+// output for symbol k (mean of its chips), before equalization and phase
+// tracking. Symbol 0 is the first preamble symbol.
+func (d *SymbolDecoder) rawSymbol(rx []complex128, k int) complex128 {
+	sps := d.cfg.SamplesPerSymbol
+	var acc complex128
+	for j := 0; j < sps; j++ {
+		acc += d.chipAt(rx, k*sps+j)
+	}
+	return acc / complex(float64(sps), 0)
+}
+
 // TestDecodeRangePolyphaseMatchesNaive checks that the polyphase chip
 // path leaves the decoder's decisions unchanged and its soft outputs
 // within rounding of the per-sample reference, whose raw symbols come
-// from RawSymbol (Interpolator.At per chip).
+// from rawSymbol (Interpolator.At per chip).
 func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 	cfg, rx, _, s := allocScenario(t, 229)
 	pre := cfg.PreambleBits
@@ -148,7 +171,7 @@ func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 	ref := trained()
 	raw := make([]complex128, 200+2*cfg.EqTaps)
 	for i := range raw {
-		raw[i] = ref.RawSymbol(rx, pre-cfg.EqTaps+i)
+		raw[i] = ref.rawSymbol(rx, pre-cfg.EqTaps+i)
 	}
 	nd, ns := ref.decodeRaw(raw, pre, pre+200, false)
 	for i := range fd {
@@ -194,8 +217,8 @@ func TestFitISIAllocFree(t *testing.T) {
 }
 
 // TestTrainEqualizerAllocFree pins the zero-allocation guarantee of
-// equalizer training: the raw-symbol cache, the training-row arena and
-// the solver scratch are all decoder-owned, so steady-state retraining
+// equalizer training: the raw-symbol cache, the target buffer and the
+// solver scratch are all decoder-owned, so steady-state retraining
 // allocates nothing.
 func TestTrainEqualizerAllocFree(t *testing.T) {
 	cfg, rx, _, s := allocScenario(t, 239)
@@ -206,6 +229,63 @@ func TestTrainEqualizerAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestShapeRoundTripAllocFree pins the zero-allocation guarantee of the
+// link-shape hand-off: on a warmed modeler, a refit, Shape into a
+// caller-owned buffer and SetShape into the modeler's own tap backing
+// allocate nothing.
+func TestShapeRoundTripAllocFree(t *testing.T) {
+	cfg, rx, wave, s := allocScenario(t, 243)
+	m := NewModeler(cfg, s)
+	var shapeBuf []complex128
+	requireZeroAllocs(t, "FitISI→Shape→SetShape", func() {
+		if err := m.FitISI(rx, wave, 0, 600); err != nil {
+			t.Fatal(err)
+		}
+		shape, ok := m.Shape(shapeBuf)
+		if !ok {
+			t.Fatal("no shape after fit")
+		}
+		shapeBuf = shape.Taps
+		m.SetShape(shape)
+	})
+}
+
+// TestTrainEqualizerFillRawMatchesRawSymbol pins the training input:
+// equalizer taps trained on fillRaw's polyphase raw symbols agree with
+// taps trained on the per-chip rawSymbol reference to 1e-12 (relative
+// L2).
+func TestTrainEqualizerFillRawMatchesRawSymbol(t *testing.T) {
+	for _, seed := range []int64{257, 263, 269} {
+		cfg, rx, _, s := allocScenario(t, seed)
+		known := cfg.PreambleSymbols()
+		d := NewSymbolDecoder(cfg, s, modem.BPSK)
+		if err := d.TrainEqualizer(rx, known, 0); err != nil {
+			t.Fatal(err)
+		}
+		tw := cfg.EqTaps
+		raw := make([]complex128, len(known)+2*tw)
+		for i := range raw {
+			raw[i] = d.rawSymbol(rx, i-tw)
+		}
+		y := make([]complex128, len(raw))
+		copy(y[tw:], known)
+		var lsq dsp.LSQ
+		ref, err := lsq.EstimateFIR(raw, y, tw, tw+len(known), tw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var num, den float64
+		for i, want := range ref.Taps {
+			e := d.eq[i] - want
+			num += real(e)*real(e) + imag(e)*imag(e)
+			den += real(want)*real(want) + imag(want)*imag(want)
+		}
+		if dist := math.Sqrt(num / den); dist > 1e-12 {
+			t.Fatalf("seed %d: fillRaw taps %v, rawSymbol taps %v (relative L2 %.3g)", seed, d.eq, ref.Taps, dist)
+		}
+	}
 }
 
 // TestReinitMatchesNew pins the pooling contract: a Modeler/

@@ -111,6 +111,38 @@ func BenchmarkDecodeRange(b *testing.B) {
 	}
 }
 
+// BenchmarkFitISI measures the re-encoding ISI fit (§4.2.4d) over a
+// 440-chip clean stretch, about 440 rows of the sliding-window
+// least-squares system: aligned wave, derotated residual, Gram matrix
+// and Cholesky solve.
+func BenchmarkFitISI(b *testing.B) {
+	cfg, rx, wave, s := benchScenario(b, 111)
+	m := NewModeler(cfg, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.FitISI(rx, wave, 0, 440); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainEqualizer measures symbol-spaced equalizer training on
+// the 32-symbol preamble: polyphase raw symbols, the least-squares fit
+// and the post-fit validation.
+func BenchmarkTrainEqualizer(b *testing.B) {
+	cfg, rx, _, s := benchScenario(b, 113)
+	d := NewSymbolDecoder(cfg, s, modem.BPSK)
+	known := cfg.PreambleSymbols()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.TrainEqualizer(rx, known, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShiftDrift measures the channel model's drifting-offset
 // resampler, the per-trial cost of realizing a clock-skewed link
 // (§3.1.2).

@@ -46,15 +46,13 @@ type SymbolDecoder struct {
 	softBuf []complex128
 
 	// Equalizer-training working storage: the raw-symbol observations,
-	// the row arena of the least-squares system, the solver scratch, and
+	// the known symbols laid out on the raw grid, the solver scratch, and
 	// the decoder-owned backing of the accepted taps. With these
 	// threaded, steady-state retraining allocates nothing.
-	trainRaw  []complex128
-	trainRows [][]complex128
-	trainFlat []complex128
-	trainRhs  []complex128
-	eqBuf     []complex128
-	lsq       dsp.LSQ
+	trainRaw []complex128
+	trainY   []complex128
+	eqBuf    []complex128
+	lsq      dsp.LSQ
 }
 
 // NewSymbolDecoder builds a decoder for one packet occurrence.
@@ -104,7 +102,7 @@ func (d *SymbolDecoder) Fork() *SymbolDecoder {
 	// contents a caller still holds from the original decoder.
 	c.rs = dsp.Resampler{Interp: d.interp}
 	c.chipBuf, c.rawBuf, c.decBuf, c.softBuf = nil, nil, nil, nil
-	c.trainRaw, c.trainRows, c.trainFlat, c.trainRhs = nil, nil, nil, nil
+	c.trainRaw, c.trainY = nil, nil
 	c.eqBuf = nil
 	c.lsq = dsp.LSQ{}
 	return &c
@@ -124,37 +122,13 @@ func (d *SymbolDecoder) WithSync(s Sync) *SymbolDecoder {
 	return c
 }
 
-// chipAt estimates transmitted chip m from the buffer: interpolate at the
-// fractional position, remove the carrier rotation model, normalize by
-// |Ĥ|.
-func (d *SymbolDecoder) chipAt(rx []complex128, m int) complex128 {
-	pos := d.sync.Start + float64(m)
-	v := d.interp.At(rx, pos)
-	th := d.sync.Theta(pos)
-	// complex(cos, sin) is cmplx.Exp(complex(0, −th)) bit for bit:
-	// exp(0) is exactly 1, so the Exp path's scale multiply is identity.
-	s, c := math.Sincos(-th)
-	return v * complex(c, s) * complex(d.invAmp, 0)
-}
-
-// RawSymbol returns the matched-filter output for symbol k (mean of its
-// chips), before equalization and phase tracking. Symbol 0 is the first
-// preamble symbol.
-func (d *SymbolDecoder) RawSymbol(rx []complex128, k int) complex128 {
-	sps := d.cfg.SamplesPerSymbol
-	var acc complex128
-	for j := 0; j < sps; j++ {
-		acc += d.chipAt(rx, k*sps+j)
-	}
-	return acc / complex(float64(sps), 0)
-}
-
 // fillRaw computes raw symbols sym0, sym0+1, … into raw using the
 // polyphase engine: all chips of the range are interpolated with one
 // phase FIR (the fractional part of Start+m is constant over the
 // packet), derotated by the recurrence rotator instead of a cmplx.Exp
-// per chip, normalized, and matched-filtered. It reproduces per-symbol
-// RawSymbol to rounding error.
+// per chip, normalized, and matched-filtered: raw[i] is the mean of
+// symbol sym0+i's chips, each interpolated at Start+chip, derotated by
+// Theta and divided by |Ĥ|.
 func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 	sps := d.cfg.SamplesPerSymbol
 	nchips := len(raw) * sps
@@ -205,33 +179,19 @@ func (d *SymbolDecoder) TrainEqualizer(rx []complex128, known []complex128, at i
 	if len(known) < m+2 {
 		return fmt.Errorf("phy: %d known symbols insufficient to train %d taps", len(known), m)
 	}
-	// Precompute raw observations covering the needed neighbourhood.
+	// Raw observations of symbols [at−t, at+len(known)+t): the system's
+	// row k, which targets known[k], is EstimateFIR row n = k+t over
+	// x = raw, reading raw[n−l] for l ∈ [−t, t].
 	d.trainRaw = dsp.Ensure(d.trainRaw, len(known)+2*t)
 	raw := d.trainRaw
-	for i := range raw {
-		raw[i] = d.RawSymbol(rx, at-t+i)
-	}
-	// Build the training system in the reusable row arena.
-	if cap(d.trainRows) < len(known) {
-		d.trainRows = make([][]complex128, len(known))
-	}
-	d.trainRows = d.trainRows[:len(known)]
-	d.trainFlat = dsp.Ensure(d.trainFlat, len(known)*m)
-	d.trainRhs = dsp.Ensure(d.trainRhs, len(known))
-	rows, rhs := d.trainRows, d.trainRhs
-	for k := range known {
-		row := d.trainFlat[k*m : (k+1)*m]
-		for l := -t; l <= t; l++ {
-			// raw index for symbol at+k−l is (k−l)+t in raw.
-			row[l+t] = raw[k-l+t]
-		}
-		rows[k] = row
-		rhs[k] = known[k]
-	}
-	taps, err := d.lsq.SolveComplexLeastSquares(rows, rhs)
+	d.fillRaw(rx, at-t, raw)
+	d.trainY = dsp.Ensure(d.trainY, len(raw))
+	copy(d.trainY[t:], known)
+	fit, err := d.lsq.EstimateFIR(raw, d.trainY, t, t+len(known), t)
 	if err != nil {
 		return err
 	}
+	taps := fit.Taps
 	// Validate the fit against the known symbols: a training sequence
 	// drowned in residual interference produces a wild equalizer that is
 	// far worse than the pass-through fallback. Accept the taps only if

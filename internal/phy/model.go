@@ -40,15 +40,15 @@ type Modeler struct {
 
 	// g is the image filter. Until FitISI succeeds it is the single-tap
 	// Ĥ model; afterwards it captures the full distortion. gTaps is the
-	// modeler-owned backing for g's taps, reused across fits and
-	// Reinits.
+	// modeler-owned backing for g's taps, reused across fits, SetShape
+	// calls and Reinits.
 	g      dsp.FIR
 	gTaps  []complex128
 	isiFit bool
 
-	// lsq and yBuf are the FitISI working storage (derotated residual
-	// and the least-squares arenas); with them threaded, steady-state
-	// refits allocate nothing.
+	// lsq and yBuf are the FitISI working storage (the least-squares
+	// scratch and the derotated residual); with them threaded,
+	// steady-state refits allocate nothing.
 	lsq  dsp.LSQ
 	yBuf []complex128
 
@@ -103,10 +103,12 @@ func (m *Modeler) Filter() dsp.FIR { return m.g }
 
 // Shape returns the image filter normalized so its centre tap is 1 — the
 // link's ISI signature with the per-reception gain divided out — and
-// true if a fitted shape is available. Because the channel is
-// quasi-static (§3, footnote 1), the shape estimated in one reception is
-// valid in another reception of the same link.
-func (m *Modeler) Shape() (dsp.FIR, bool) {
+// true if a fitted shape is available. The taps are written into dst's
+// backing, reused when its capacity allows, so a caller that keeps one
+// shape buffer per link refits without allocating. Because the channel
+// is quasi-static (§3, footnote 1), the shape estimated in one reception
+// is valid in another reception of the same link.
+func (m *Modeler) Shape(dst []complex128) (dsp.FIR, bool) {
 	if !m.isiFit {
 		return dsp.FIR{}, false
 	}
@@ -114,26 +116,26 @@ func (m *Modeler) Shape() (dsp.FIR, bool) {
 	if c == 0 {
 		return dsp.FIR{}, false
 	}
-	taps := make([]complex128, len(m.g.Taps))
-	for i, t := range m.g.Taps {
-		taps[i] = t / c
+	dst = dst[:0]
+	for _, t := range m.g.Taps {
+		dst = append(dst, t/c)
 	}
-	return dsp.FIR{Taps: taps, Center: m.g.Center}, true
+	return dsp.FIR{Taps: dst, Center: m.g.Center}, true
 }
 
 // SetShape installs a normalized ISI shape (centre tap 1) borrowed from
-// another reception of the same link, scaled by this reception's Ĥ. It
-// upgrades the bare-Ĥ model without needing a clean stretch in this
-// reception. Honors DisableISIModel.
+// another reception of the same link, scaled by this reception's Ĥ, into
+// the modeler-owned tap backing. It upgrades the bare-Ĥ model without
+// needing a clean stretch in this reception. Honors DisableISIModel.
 func (m *Modeler) SetShape(shape dsp.FIR) {
 	if m.cfg.DisableISIModel || len(shape.Taps) == 0 {
 		return
 	}
-	taps := make([]complex128, len(shape.Taps))
-	for i, t := range shape.Taps {
-		taps[i] = t * m.sync.H
+	m.gTaps = m.gTaps[:0]
+	for _, t := range shape.Taps {
+		m.gTaps = append(m.gTaps, t*m.sync.H)
 	}
-	m.g = dsp.FIR{Taps: taps, Center: shape.Center}
+	m.g = dsp.FIR{Taps: m.gTaps, Center: shape.Center}
 	m.isiFit = true
 }
 

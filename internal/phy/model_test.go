@@ -34,13 +34,13 @@ func TestModelerShapeNormalized(t *testing.T) {
 	link := &channel.Params{Gain: cmplx.Rect(0.9, 1.2), ISI: channel.TypicalISI(1)}
 	cfg, rx, wave, s := modelerScenario(t, link, 1e-4, 41)
 	m := NewModeler(cfg, s)
-	if _, ok := m.Shape(); ok {
+	if _, ok := m.Shape(nil); ok {
 		t.Fatal("shape available before fit")
 	}
 	if err := m.FitISI(rx, wave, 0, 500); err != nil {
 		t.Fatal(err)
 	}
-	shape, ok := m.Shape()
+	shape, ok := m.Shape(nil)
 	if !ok {
 		t.Fatal("shape missing after fit")
 	}
