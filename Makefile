@@ -9,6 +9,10 @@
 #                     scratch is exercised across repeated calls
 #   make test-race-obs — race leg under the ZIGZAG_NO_OBS=1 switch
 #   make test-race-kern — race leg under the ZIGZAG_NAIVE_KERNELS=1 switch
+#   make test-purego — go vet and the short suite with the purego tag:
+#                     the portable Go paths that non-amd64 builds run in
+#                     place of the SSE2 kernels (internal/dsp/kern and the
+#                     FFT stages of internal/dsp/fft)
 #   make fuzz-smoke — every Fuzz* target (found per package with
 #                     go test -list) fuzzed for FUZZTIME each (default
 #                     5s), beyond the seed corpora plain go test runs
@@ -48,9 +52,9 @@
 #                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, lint, `make fuzz-smoke` and
-# the zzbench module's unit tests as separate jobs, and
-# `make bench-check` as a non-blocking perf canary.
+# and `make test-short` on two Go versions, lint, `make fuzz-smoke`,
+# `make test-purego` and the zzbench module's unit tests as separate
+# jobs, and `make bench-check` as a non-blocking perf canary.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -69,7 +73,7 @@ OBS_PKGS = ./internal/obs/... ./internal/core/... ./internal/phy/... ./internal/
 # paths, which agree with the kernels only to tolerance).
 KERN_PKGS = ./internal/dsp/... ./internal/impair/... ./internal/channel/... ./internal/phy/... ./internal/core/...
 
-.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs fuzz-smoke bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
+.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs test-purego fuzz-smoke bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
 
 all: build
 
@@ -100,6 +104,13 @@ test-race-obs: build
 
 test-race-kern: build
 	ZIGZAG_NAIVE_KERNELS=1 $(GO) test -short -race -count=2 $(KERN_PKGS)
+
+# The purego tag swaps every assembly kernel for its Go form — the code
+# other architectures build — so this leg keeps those paths vetted and
+# tested on amd64 hosts.
+test-purego:
+	$(GO) vet -tags purego ./...
+	$(GO) test -short -tags purego ./...
 
 # Fuzz time per target; go test -fuzz accepts one target per run.
 FUZZTIME ?= 5s

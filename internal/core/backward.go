@@ -14,6 +14,12 @@ import (
 // *other* collision than the forward pass used — and MRC-combining the
 // two is what makes ZigZag's BER lower than interference-free
 // transmission.
+//
+// The pass runs only when it can matter. The receiver "takes whichever
+// succeeds" (§4.4), so when the forward candidate of every packet of
+// known length is complete and passes its checksum, DecodeWith skips
+// the pass (decoder.needsBackward): the result keeps the forward frames
+// and bits, and reports Source "forward" with no backward bits.
 
 // bwdExcluded reports whether a packet cannot participate in the
 // backward pass (its length never became known, so its tail is
@@ -259,6 +265,7 @@ func (d *decoder) runBackward() int {
 	if d.cfg.DisableBackward {
 		return 0
 	}
+	d.bwdRan = true
 	// Fresh residuals and tail-anchored state.
 	for _, r := range d.recs {
 		r.resB = dsp.Ensure(r.resB, len(r.raw))

@@ -106,19 +106,26 @@ type decoder struct {
 	// interpolator + equalizer skirt.
 	marginSym int
 	iters     int
+	// bwdRan records that the backward pass ran on this decode:
+	// DecodeWith skips it when every forward candidate already passed
+	// its checksum, and a skipped pass leaves bwdDownTo at its reset
+	// value, which would otherwise read as a finished pass.
+	bwdRan bool
 	// kway enables the generalized ordering policy (see sic.go): set for
 	// decodes over three or more distinct packets.
 	kway bool
 
 	// Reusable working storage (kept across decodes on the same
 	// Scratch): header demap bits, the span compaction buffer, the
-	// dirty-interval cuts, and the MRC combination buffer.
+	// dirty-interval cuts, the MRC combination buffer, and the forward
+	// bits that decide whether the backward pass runs.
 	hdrBits  []byte
 	spanKeep []subSpan
 	cuts     []interval
 	combBuf  []complex128
 	pieceA   []interval
 	pieceB   []interval
+	fwdBits  []byte
 
 	// debugHook, when non-nil, is invoked after each committed chunk
 	// (tests and diagnostics only).
@@ -172,6 +179,7 @@ func (sc *Scratch) newDecoder(cfg Config, metas []PacketMeta, recs []*Reception)
 		combBuf:  d.combBuf[:0],
 		pieceA:   d.pieceA[:0],
 		pieceB:   d.pieceB[:0],
+		fwdBits:  d.fwdBits[:0],
 
 		obs:    sc.Obs,
 		obsRec: sc.ObsRec,

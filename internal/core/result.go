@@ -21,11 +21,15 @@ type PacketResult struct {
 	Bits []byte
 
 	// BitsForward and BitsBackward are the per-direction estimates.
+	// BitsBackward is nil when the backward pass did not run: DecodeWith
+	// runs it only when some forward candidate failed its checksum or
+	// left its packet incomplete.
 	BitsForward  []byte
 	BitsBackward []byte
 
-	// Source tells which candidate produced Frame: "mrc", "forward",
-	// "backward", or "" on failure.
+	// Source tells which candidate produced Frame: "forward" when the
+	// forward pass alone decoded every packet of known length, else the
+	// first to pass of "mrc", "forward", "backward"; "" on failure.
 	Source string
 
 	// Complete reports whether the forward pass decoded every symbol.
@@ -41,7 +45,8 @@ func (p *PacketResult) OK() bool { return p.Frame != nil && p.Err == nil }
 // Result is the outcome of one joint decode.
 type Result struct {
 	Packets []PacketResult
-	// Iterations counts greedy scheduling rounds across both passes.
+	// Iterations counts greedy scheduling rounds across the passes that
+	// ran.
 	Iterations int
 	// Residuals are the forward-pass residual buffers, one per
 	// reception: the received samples minus everything that was decoded
@@ -96,7 +101,7 @@ func (d *decoder) assemblePacket(p *pktState) PacketResult {
 	}
 	pr.BitsForward = trim(modem.Demodulate(nil, p.meta.Scheme, p.decided[d.pre:p.nsym]))
 
-	bwdRan := !d.cfg.DisableBackward && p.bwdDownTo <= d.pre
+	bwdRan := d.bwdRan && p.bwdDownTo <= d.pre
 	var mrcBits []byte
 	if bwdRan {
 		pr.BitsBackward = trim(modem.Demodulate(nil, p.meta.Scheme, p.decidedB[d.pre:p.nsym]))
@@ -172,7 +177,9 @@ func Decode(cfg Config, metas []PacketMeta, recs []*Reception) (*Result, error) 
 // returned Result's Packets own their memory, but Residuals alias sc's
 // residual buffers: they stay valid only until the next DecodeWith call
 // on the same Scratch. A nil sc decodes on a fresh one-shot session,
-// which is exactly Decode. Bit-identity between the two paths — pooled
+// which is exactly Decode. The forward pass always runs; the backward
+// pass runs only when it can change the outcome (needsBackward).
+// Bit-identity between the two paths — pooled
 // Modelers/SymbolDecoders and recycled arenas included — is pinned by
 // the decode-session tests.
 func DecodeWith(sc *Scratch, cfg Config, metas []PacketMeta, recs []*Reception) (*Result, error) {
@@ -184,6 +191,35 @@ func DecodeWith(sc *Scratch, cfg Config, metas []PacketMeta, recs []*Reception) 
 		return nil, err
 	}
 	d.runForward()
-	d.runBackward()
+	if d.needsBackward() {
+		d.runBackward()
+	}
 	return d.assemble(), nil
+}
+
+// needsBackward reports whether the backward pass can change this
+// decode's outcome. It can only for a packet of known length that the
+// forward pass left incomplete, or whose forward bits, trimmed to the
+// frame, fail validation. When every such forward candidate is a valid
+// frame the receiver takes it — it "takes whichever succeeds" (§4.4) —
+// and the pass would change no frame and no bit. A packet whose length
+// was never learned never forces the pass: the pass excludes it
+// (bwdExcluded), and its result reads forward state only.
+func (d *decoder) needsBackward() bool {
+	for _, p := range d.pkts {
+		if p.nsym < 0 {
+			continue
+		}
+		if p.fwdUpTo < p.nsym {
+			return true
+		}
+		d.fwdBits = modem.Demodulate(d.fwdBits[:0], p.meta.Scheme, p.decided[d.pre:p.nsym])
+		if len(d.fwdBits) > p.totalBits {
+			d.fwdBits = d.fwdBits[:p.totalBits]
+		}
+		if !frame.Check(d.fwdBits) {
+			return true
+		}
+	}
+	return false
 }

@@ -27,18 +27,19 @@ func samePackets(t *testing.T, got, want []PacketResult) {
 // TestK2PairwiseSICGolden pins the k=2 contract of the generalized SIC
 // framework: a two-packet decode takes the pairwise chunk order by
 // construction, and it must reproduce the golden (the exact
-// transmitted bits, BER 0).
+// transmitted bits, BER 0). Both passes run on the decoder, so the
+// backward schedule stays pinned too; DecodeWith, whose forward
+// candidates both pass their checksums here, runs the forward pass
+// alone.
 func TestK2PairwiseSICGolden(t *testing.T) {
 	const noise = 0.05
 	s := newScenario(t, 61, 350, []float64{13, 13}, []float64{0.003, -0.002}, noise)
 	rng := rand.New(rand.NewSource(62))
 	rec1 := s.collide(t, rng, noise, []int{40, 40 + 800})
 	rec2 := s.collide(t, rng, noise, []int{40, 40 + 320})
+	recs := []*Reception{rec1, rec2}
 
-	resGen, err := Decode(s.cfg, s.metas, []*Reception{rec1, rec2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resGen := bothPasses(t, s.cfg, s.metas, recs)
 	if !resGen.AllOK() {
 		t.Fatalf("k=2 decode failed: %v / %v", resGen.Packets[0].Err, resGen.Packets[1].Err)
 	}
@@ -51,6 +52,19 @@ func TestK2PairwiseSICGolden(t *testing.T) {
 	for i := range resGen.Packets {
 		if !frame.SamePacket(resGen.Packets[i].Frame, s.frames[i]) {
 			t.Errorf("packet %d content mismatch against golden", i)
+		}
+	}
+
+	res, err := Decode(s.cfg, s.metas, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 28 {
+		t.Errorf("DecodeWith iterations = %d, want the golden forward-pass 28", res.Iterations)
+	}
+	for i := range res.Packets {
+		if pr := res.Packets[i]; !pr.OK() || pr.Source != "forward" || !frame.SamePacket(pr.Frame, s.frames[i]) {
+			t.Errorf("packet %d: DecodeWith gave %v via %q, want the golden frame via forward", i, pr.Frame, pr.Source)
 		}
 	}
 }

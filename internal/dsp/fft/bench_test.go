@@ -89,15 +89,28 @@ func BenchmarkCrossover(b *testing.B) {
 	}
 }
 
-// BenchmarkFFT measures the raw transform.
+// BenchmarkFFT measures the two scrambled-order transforms of the
+// overlap-save correlator at serve-live's plan sizes: 512 points for
+// preamble detection, 2,048 for store matching. "forward" is one
+// forwardScrambled, "inverse" one out-of-place inverseScrambledProduct
+// (the spectrum product fused in). A forward op copies the block in
+// first, as correlateFFT does, so every transform sees unit-scale data.
 func BenchmarkFFT(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
-	for _, n := range []int{256, 1024, 4096} {
+	for _, n := range []int{512, 2048} {
 		x := randVec(r, n)
+		spec := randVec(r, n)
+		dst := make([]complex128, n)
 		p := PlanFor(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("forward/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.forwardScrambled(x)
+				copy(dst, x)
+				p.forwardScrambled(dst)
+			}
+		})
+		b.Run(fmt.Sprintf("inverse/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.inverseScrambledProduct(dst, x, spec)
 			}
 		})
 	}

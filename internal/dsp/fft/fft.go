@@ -17,7 +17,9 @@
 // steady-state correlation allocates nothing either way.
 //
 // Blocks.Correlate dispatches between this engine and the naive kernel
-// by a size heuristic; see the crossover constants.
+// by a size heuristic; see the crossover constants. On amd64 the
+// transforms' stage kernels run as SSE2 assembly, bit-identical to
+// their Go forms (stage_amd64.s).
 package fft
 
 import (
@@ -26,32 +28,28 @@ import (
 	"sync"
 )
 
-// Plan holds the cached twiddle factors and bit-reversal permutation
-// for one transform size. Plans are immutable after construction and
-// shared across goroutines via PlanFor.
+// Plan holds the cached twiddle tables for one transform size. Plans
+// are immutable after construction and shared across goroutines via
+// PlanFor.
 //
-// Twiddles for the generic (size ≥ 8) radix-2 stages are stored per
-// stage in natural butterfly order — stageF[s][j] = e^{−2πij/size} for
-// size = 8<<s — so the butterfly loop walks them contiguously instead
-// of striding through one shared table (the stride pattern was the
-// dominant cost for the small plans the preamble detector uses).
-//
-// The correlation engine additionally keeps fused stage-pair tables
-// (r4F/r4I): the scrambled-order convolution transforms process two
-// radix-2 stages at a time, which halves the memory passes and trims
-// the twiddle multiplies — the butterflies are still the radix-2
-// decimation, executed two levels per sweep. r4F[s] holds the triple
-// (ω^j, ω^{2j}, ω^{3j}), ω = e^{−2πi/size}, flattened as tw[3j..3j+2]
-// for j ≥ 1 (the j = 0 butterfly is twiddle-free and peeled), for the
-// descending stage sizes n, n/4, n/16, … ≥ 8.
+// The correlation engine's scrambled-order transforms process two
+// radix-2 decimation levels per sweep, which halves the memory passes
+// and trims the twiddle multiplies — the butterflies are still the
+// radix-2 decimation, executed two levels per sweep. tw[s] holds the
+// twiddle triple (ω^j, ω^{2j}, ω^{3j}), ω = e^{−2πi/size}, of each
+// butterfly j of the fused stage of size n>>(2s) (descending sizes n,
+// n/4, n/16, … ≥ 8), packed for the SIMD stage kernels: each twiddle
+// w = c + id is stored as the lane pairs (c, c) and (−d, d), twelve
+// float64 per butterfly at tw[s][12j:]. The complex product w·v is then
+// (c, c)·v + (−d, d)·swap(v), the same two products added in each lane
+// as the scalar (a·c − b·d, a·d + b·c); the inverse sweep multiplies by
+// the conjugate, (c, c)·v − (−d, d)·swap(v), from the same table. The
+// j = 0 butterfly is twiddle-free and peeled; its slot keeps the
+// indexing flat.
 type Plan struct {
-	n      int
-	stageF [][]complex128 // forward twiddles per generic radix-2 stage
-	stageI [][]complex128 // inverse (conjugated) twiddles per generic radix-2 stage
-	r4F    [][]complex128 // forward fused-pair twiddle triples per stage
-	r4I    [][]complex128 // inverse fused-pair twiddle triples per stage
-	fuse8  bool           // terminal size-8+size-2 stages run as one fused sweep
-	perm   []int32        // bit-reversal permutation
+	n     int
+	tw    [][]float64 // packed twiddle triples per fused stage
+	fuse8 bool        // terminal size-8+size-2 stages run as one fused sweep
 }
 
 var planCache sync.Map // int → *Plan
@@ -72,48 +70,25 @@ func PlanFor(n int) *Plan {
 
 func newPlan(n int) *Plan {
 	p := &Plan{n: n}
-	for size := 8; size <= n; size <<= 1 {
-		half := size >> 1
-		f := make([]complex128, half)
-		inv := make([]complex128, half)
-		for j := 0; j < half; j++ {
-			s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(size))
-			f[j] = complex(c, s)
-			inv[j] = complex(c, -s)
-		}
-		p.stageF = append(p.stageF, f)
-		p.stageI = append(p.stageI, inv)
-	}
 	for size := n; size >= 8; size >>= 2 {
 		q := size >> 2
-		f := make([]complex128, 3*q)
-		inv := make([]complex128, 3*q)
+		tw := make([]float64, 12*q)
 		for j := 0; j < q; j++ {
 			for r := 1; r <= 3; r++ {
 				s, c := math.Sincos(-2 * math.Pi * float64(j) * float64(r) / float64(size))
-				f[3*j+r-1] = complex(c, s)
-				inv[3*j+r-1] = complex(c, -s)
+				w := tw[12*j+4*(r-1) : 12*j+4*r]
+				w[0], w[1], w[2], w[3] = c, c, -s, s
 			}
 		}
-		p.r4F = append(p.r4F, f)
-		p.r4I = append(p.r4I, inv)
+		p.tw = append(p.tw, tw)
 	}
-	p.fuse8 = len(p.r4F) > 0 && n>>(2*len(p.r4F)) == 2
-	p.perm = make([]int32, n)
-	j := 0
-	for i := 0; i < n; i++ {
-		p.perm[i] = int32(j)
-		bit := n >> 1
-		for ; bit > 0 && j&bit != 0; bit >>= 1 {
-			j &^= bit
-		}
-		j |= bit
-	}
+	p.fuse8 = len(p.tw) > 0 && n>>(2*len(p.tw)) == 2
 	return p
 }
 
-// Size returns the transform size of the plan.
-func (p *Plan) Size() int { return p.n }
+// errLength is the panic of a transform handed a buffer whose length is
+// not the plan size; the assembly stage kernels rely on the check.
+const errLength = "fft: buffer length does not match plan size"
 
 // NextPow2 returns the smallest power of two ≥ n (1 for n ≤ 1).
 func NextPow2(n int) int {
@@ -121,26 +96,6 @@ func NextPow2(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// Forward transforms x in place to its DFT in natural order:
-// X[j] = Σ_k x[k]·e^{−2πijk/n}. len(x) must equal the plan size.
-func (p *Plan) Forward(x []complex128) {
-	p.check(x)
-	p.permute(x)
-	dit(x, p.n, p.stageF, -1)
-}
-
-// Inverse transforms a natural-order spectrum in place back to samples,
-// including the 1/n scaling.
-func (p *Plan) Inverse(x []complex128) {
-	p.check(x)
-	p.permute(x)
-	dit(x, p.n, p.stageI, 1)
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
 }
 
 // forwardScrambled transforms natural-order samples to a scrambled-order
@@ -151,18 +106,21 @@ func (p *Plan) Inverse(x []complex128) {
 // elementwise product commutes with any shared permutation.
 func (p *Plan) forwardScrambled(x []complex128) {
 	n := p.n
-	nGen := len(p.r4F)
+	if len(x) != n {
+		panic(errLength)
+	}
+	nGen := len(p.tw)
 	if p.fuse8 {
 		nGen-- // the size-8 stage runs fused with the size-2 remainder
 	}
 	for si := 0; si < nGen; si++ {
-		fwdStage4(x, n, n>>(2*si), p.r4F[si])
+		fwdStage4(x, n, n>>(2*si), p.tw[si])
 	}
 	if p.fuse8 {
 		fwd8(x)
 		return
 	}
-	switch n >> (2 * len(p.r4F)) {
+	switch n >> (2 * len(p.tw)) {
 	case 4:
 		fwd4(x)
 	case 2:
@@ -179,12 +137,15 @@ func (p *Plan) forwardScrambled(x []complex128) {
 // spectrum carries it.
 func (p *Plan) inverseScrambledProduct(dst, src, spec []complex128) {
 	n := p.n
-	first := len(p.r4I) - 1
+	if len(dst) != n || len(src) != n || len(spec) != n {
+		panic(errLength)
+	}
+	first := len(p.tw) - 1
 	if p.fuse8 {
 		inv8Mul(dst, src, spec) // product + size-2 + size-8 in one sweep
 		first--
 	} else {
-		switch n >> (2 * len(p.r4I)) {
+		switch n >> (2 * len(p.tw)) {
 		case 4:
 			inv4Mul(dst, src, spec)
 		case 2:
@@ -196,68 +157,24 @@ func (p *Plan) inverseScrambledProduct(dst, src, spec []complex128) {
 		}
 	}
 	for si := first; si >= 0; si-- {
-		invStage4(dst, n, n>>(2*si), p.r4I[si])
+		invStage4(dst, n, n>>(2*si), p.tw[si])
 	}
 }
 
-func (p *Plan) check(x []complex128) {
-	if len(x) != p.n {
-		panic("fft: input length does not match plan size")
-	}
-}
+// The four stage kernels below — fwdStage4Go, invStage4Go, fwd8Go and
+// inv8MulGo — are the portable forms of fwdStage4, invStage4, fwd8 and
+// inv8Mul. On amd64 those run as SSE2 assembly (stage_amd64.s) that
+// performs, in every lane, the same IEEE operations in the same order
+// as these expressions, so its outputs are bit-identical to theirs;
+// builds without the assembly (other architectures, or the purego tag)
+// run these directly (stage_noasm.go), and the tests compare the two.
 
-func (p *Plan) permute(x []complex128) {
-	for i, pj := range p.perm {
-		if j := int(pj); i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-}
-
-// dit runs decimation-in-time butterflies: bit-reversed input, natural
-// output. The size-2 and size-4 stages have twiddles 1 and ±i and are
-// peeled off without multiplies (sign is −1 forward, +1 inverse);
-// stages holds contiguous per-stage twiddles for sizes 8, 16, ….
-func dit(x []complex128, n int, stages [][]complex128, sign float64) {
-	if n < 2 {
-		return
-	}
-	for i := 0; i < n; i += 2 {
-		a, b := x[i], x[i+1]
-		x[i], x[i+1] = a+b, a-b
-	}
-	if n < 4 {
-		return
-	}
-	for i := 0; i < n; i += 4 {
-		a, b := x[i], x[i+2]
-		x[i], x[i+2] = a+b, a-b
-		c, d := x[i+1], x[i+3]
-		d = complex(-sign*imag(d), sign*real(d)) // d·(±i)
-		x[i+1], x[i+3] = c+d, c-d
-	}
-	for si, ws := range stages {
-		size := 8 << si
-		half := size >> 1
-		for start := 0; start < n; start += size {
-			u := x[start : start+half : start+half]
-			v := x[start+half : start+size]
-			v = v[:len(u)]
-			ws := ws[:len(u)]
-			for j := range u {
-				t := v[j] * ws[j]
-				v[j] = u[j] - t
-				u[j] += t
-			}
-		}
-	}
-}
-
-// fwdStage4 runs one fused pair of forward radix-2 decimation levels on
-// blocks of `size`: each quarter-strided 4-tuple is combined with
-// ω_4 = −i and the results twiddled by (ω^j, ω^{2j}, ω^{3j}) from tw.
-// The j = 0 butterfly has unit twiddles and is peeled.
-func fwdStage4(x []complex128, n, size int, tw []complex128) {
+// fwdStage4Go runs one fused pair of forward radix-2 decimation levels
+// on blocks of `size`: each quarter-strided 4-tuple is combined with
+// ω_4 = −i and the results twiddled by (ω^j, ω^{2j}, ω^{3j}) from the
+// packed table tw (see Plan). The j = 0 butterfly has unit twiddles and
+// is peeled.
+func fwdStage4Go(x []complex128, n, size int, tw []float64) {
 	q := size >> 2
 	for start := 0; start < n; start += size {
 		x0 := x[start : start+q : start+q]
@@ -272,21 +189,23 @@ func fwdStage4(x []complex128, n, size int, tw []complex128) {
 		x0[0], x1[0] = u0+u1, u2+iu3
 		x2[0], x3[0] = u0-u1, u2-iu3
 		for j := 1; j < q; j++ {
+			w := tw[12*j : 12*j+12 : 12*j+12]
 			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
 			u0, u1 := a0+a2, a1+a3
 			u2, u3 := a0-a2, a1-a3
 			iu3 := complex(imag(u3), -real(u3))
 			x0[j] = u0 + u1
-			x1[j] = (u2 + iu3) * tw[3*j]
-			x2[j] = (u0 - u1) * tw[3*j+1]
-			x3[j] = (u2 - iu3) * tw[3*j+2]
+			x1[j] = (u2 + iu3) * complex(w[0], w[3])
+			x2[j] = (u0 - u1) * complex(w[4], w[7])
+			x3[j] = (u2 - iu3) * complex(w[8], w[11])
 		}
 	}
 }
 
-// invStage4 is the inverse counterpart of fwdStage4: twiddle-multiply
-// first (tw already conjugated), then combine with ω_4 = +i.
-func invStage4(x []complex128, n, size int, tw []complex128) {
+// invStage4Go is the inverse counterpart of fwdStage4Go:
+// twiddle-multiply first by the conjugated twiddles (c − id, read from
+// the same packed table), then combine with ω_4 = +i.
+func invStage4Go(x []complex128, n, size int, tw []float64) {
 	q := size >> 2
 	for start := 0; start < n; start += size {
 		x0 := x[start : start+q : start+q]
@@ -302,10 +221,11 @@ func invStage4(x []complex128, n, size int, tw []complex128) {
 		x0[0], x1[0] = v0+v1, v2+v3
 		x2[0], x3[0] = v0-v1, v2-v3
 		for j := 1; j < q; j++ {
+			w := tw[12*j : 12*j+12 : 12*j+12]
 			t0 := x0[j]
-			t1 := x1[j] * tw[3*j]
-			t2 := x2[j] * tw[3*j+1]
-			t3 := x3[j] * tw[3*j+2]
+			t1 := x1[j] * complex(w[0], w[2])
+			t2 := x2[j] * complex(w[4], w[6])
+			t3 := x3[j] * complex(w[8], w[10])
 			v0, v1 := t0+t2, t1+t3
 			v2 := t0 - t2
 			d := t1 - t3
@@ -370,11 +290,11 @@ func inv2Mul(x, src, spec []complex128) {
 // fused 8-point kernels.
 const rt2 = 0.7071067811865476
 
-// fwd8 runs the terminal size-8 and size-2 forward stages as one
+// fwd8Go runs the terminal size-8 and size-2 forward stages as one
 // register-resident sweep per 8-block (reached when log₂n is odd). The
 // ω₈ twiddles (1−i)/√2, −i, −(1+i)/√2 are applied with two real
 // multiplies each instead of a general complex multiply.
-func fwd8(x []complex128) {
+func fwd8Go(x []complex128) {
 	for i := 0; i+7 < len(x); i += 8 {
 		a0, a1, a2, a3 := x[i], x[i+2], x[i+4], x[i+6]
 		u0, u1 := a0+a2, a1+a3
@@ -400,10 +320,11 @@ func fwd8(x []complex128) {
 	}
 }
 
-// inv8Mul is the inverse counterpart of fwd8 with the spectrum product
-// fused in: product, size-2 stage, and the size-8 stage (conjugated ω₈
-// twiddles) in one sweep per 8-block, reading src and writing x.
-func inv8Mul(x, src, spec []complex128) {
+// inv8MulGo is the inverse counterpart of fwd8Go with the spectrum
+// product fused in: product, size-2 stage, and the size-8 stage
+// (conjugated ω₈ twiddles) in one sweep per 8-block, reading src and
+// writing x.
+func inv8MulGo(x, src, spec []complex128) {
 	src, spec = src[:len(x)], spec[:len(x)]
 	for i := 0; i+7 < len(x); i += 8 {
 		p0, p1 := src[i]*spec[i], src[i+1]*spec[i+1]

@@ -55,7 +55,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 		x := randVec(r, n)
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
-		PlanFor(n).Forward(got)
+		newNaturalPlan(n).Forward(got)
 		if d := maxAbsDiff(got, want); d > 1e-9*vecScale(x) {
 			t.Errorf("n=%d: max |FFT−DFT| = %g", n, d)
 		}
@@ -67,7 +67,7 @@ func TestInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 128, 1024} {
 		x := randVec(r, n)
 		y := append([]complex128(nil), x...)
-		p := PlanFor(n)
+		p := newNaturalPlan(n)
 		p.Forward(y)
 		p.Inverse(y)
 		if d := maxAbsDiff(x, y); d > 1e-11*vecScale(x) {
@@ -121,10 +121,9 @@ func TestForwardScrambledIsPermutedForward(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		x := randVec(r, n)
 		nat := append([]complex128(nil), x...)
-		p := PlanFor(n)
-		p.Forward(nat)
+		newNaturalPlan(n).Forward(nat)
 		scr := append([]complex128(nil), x...)
-		p.forwardScrambled(scr)
+		PlanFor(n).forwardScrambled(scr)
 		less := func(s []complex128) func(i, j int) bool {
 			return func(i, j int) bool {
 				if real(s[i]) != real(s[j]) {

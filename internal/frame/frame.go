@@ -117,44 +117,67 @@ func (f *Frame) Bits(dst []byte) ([]byte, error) {
 // trailing bits are ignored (the PHY hands over a slightly padded
 // symbol-aligned stream). The returned frame shares no memory with bits.
 func Parse(bits []byte) (*Frame, error) {
-	if len(bits) < HeaderBits+CRCBits {
-		return nil, ErrShort
+	plen, err := check(bits)
+	if err != nil {
+		return nil, err
 	}
 	var f Frame
 	f.Src = byteAt(bits, 0)
 	f.Dst = byteAt(bits, 8)
 	f.Seq = bitutil.Uint16(bits[16:])
-	if byteAt(bits, 64) != headerCheck(bits) {
-		return nil, ErrHeader
-	}
-	flags := byteAt(bits, 32)
-	f.Retry = flags&FlagRetry != 0
-	rate := byteAt(bits, 40)
-	switch modem.Scheme(rate) {
-	case modem.BPSK, modem.QPSK, modem.QAM16:
-		f.Scheme = modem.Scheme(rate)
-	default:
-		return nil, fmt.Errorf("%w: rate %d", ErrBadField, rate)
-	}
-	plen := int(bitutil.Uint16(bits[48:]))
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("%w: length %d", ErrBadField, plen)
-	}
-	total := HeaderBits + 8*plen + CRCBits
-	if len(bits) < total {
-		return nil, ErrShort
-	}
-	body := bits[:HeaderBits+8*plen]
-	wantCRC := bitutil.Uint32(bits[HeaderBits+8*plen:])
-	if bitutil.CRC32(body) != wantCRC {
-		return nil, ErrCRC
-	}
+	f.Retry = byteAt(bits, 32)&FlagRetry != 0
+	f.Scheme = modem.Scheme(byteAt(bits, 40))
 	payload, err := bitutil.BitsToBytes(bits[HeaderBits : HeaderBits+8*plen])
 	if err != nil {
 		return nil, err
 	}
 	f.Payload = payload
 	return &f, nil
+}
+
+// Check reports whether Parse accepts bits, building no Frame: the
+// decoder screens a candidate's checksum with it before it decides
+// whether a second decoding pass can matter.
+func Check(bits []byte) bool {
+	plen, err := check(bits)
+	if err != nil {
+		return false
+	}
+	for _, b := range bits[HeaderBits : HeaderBits+8*plen] {
+		if b > 1 {
+			return false // BitsToBytes rejects a non-binary payload
+		}
+	}
+	return true
+}
+
+// check makes Parse's checks on bits — length, header check byte, rate
+// and length fields, CRC — and returns the payload length in bytes.
+func check(bits []byte) (plen int, err error) {
+	if len(bits) < HeaderBits+CRCBits {
+		return 0, ErrShort
+	}
+	if byteAt(bits, 64) != headerCheck(bits) {
+		return 0, ErrHeader
+	}
+	rate := byteAt(bits, 40)
+	switch modem.Scheme(rate) {
+	case modem.BPSK, modem.QPSK, modem.QAM16:
+	default:
+		return 0, fmt.Errorf("%w: rate %d", ErrBadField, rate)
+	}
+	plen = int(bitutil.Uint16(bits[48:]))
+	if plen > MaxPayload {
+		return 0, fmt.Errorf("%w: length %d", ErrBadField, plen)
+	}
+	total := HeaderBits + 8*plen + CRCBits
+	if len(bits) < total {
+		return 0, ErrShort
+	}
+	if bitutil.CRC32(bits[:HeaderBits+8*plen]) != bitutil.Uint32(bits[HeaderBits+8*plen:]) {
+		return 0, ErrCRC
+	}
+	return plen, nil
 }
 
 // PeekLength reads only the header's length field (no CRC validation) and

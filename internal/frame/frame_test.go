@@ -70,6 +70,40 @@ func TestParseDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckAgreesWithParse pins Check as Parse's verdict without the
+// Frame: every bit flip of a valid frame, truncations, padding and a
+// non-binary payload bit get the same answer from both, and Check
+// allocates nothing whether the frame passes or fails.
+func TestCheckAgreesWithParse(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	f := randFrame(r, 24)
+	bits, _ := f.Bits(nil)
+	agree := func(what string, b []byte) {
+		t.Helper()
+		_, err := Parse(b)
+		if got := Check(b); got != (err == nil) {
+			t.Fatalf("%s: Check = %v, Parse error = %v", what, got, err)
+		}
+	}
+	agree("valid", bits)
+	agree("padded", append(append([]byte(nil), bits...), 1, 0, 1))
+	agree("truncated", bits[:len(bits)-1])
+	agree("header only", bits[:HeaderBits])
+	for pos := range bits {
+		bits[pos] ^= 1
+		agree("flipped", bits)
+		bits[pos] ^= 1
+	}
+	bits[HeaderBits+5] += 2 // same CRC (it reads bit&1), but not a bit
+	agree("non-binary payload", bits)
+	bits[HeaderBits+5] -= 2
+	bad := append([]byte(nil), bits...)
+	bad[len(bad)-1] ^= 1
+	if n := testing.AllocsPerRun(20, func() { Check(bits); Check(bad) }); n != 0 {
+		t.Fatalf("Check allocates %v per call pair", n)
+	}
+}
+
 func TestParseShort(t *testing.T) {
 	if _, err := Parse(make([]byte, 10)); !errors.Is(err, ErrShort) {
 		t.Fatalf("err = %v, want ErrShort", err)
