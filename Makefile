@@ -8,7 +8,9 @@
 #   make test-race  — race-enabled short suite, run twice so reused
 #                     scratch is exercised across repeated calls
 #   make test-race-obs — race leg under the ZIGZAG_NO_OBS=1 switch
-#   make test-race-kern — race leg under the ZIGZAG_NAIVE_KERNELS=1 switch
+#   make test-race-kern — race leg over the kernel packages built with
+#                     the purego tag: the Go kernel forms every
+#                     non-amd64 target runs
 #   make test-purego — go vet and the short suite with the purego tag:
 #                     the portable Go paths that non-amd64 builds run in
 #                     place of the SSE2 kernels (internal/dsp/kern and the
@@ -24,37 +26,21 @@
 #                     and decode, the ISI fit and equalizer training
 #   make bench-impair — impairment-engine benchmarks: per-model costs
 #                      plus static-vs-impaired Air.MixInto
-#   make bench-check — session-engine benchmark-regression gate:
-#                      trimmed sweeps' calibrated-unit diff against
-#                      BENCH_session.json (now including the
-#                      harsh-channel suite), plus every gate below
-#   make bench-kway — k-way SIC gate only: end-to-end joint-decode cost
-#                     at k=2/3/4 vs BENCH_kway.json
-#   make bench-campaign — campaign gate only: 2-shard-merge vs unsharded
-#                     byte-identity, calibrated cost + shard overhead vs
-#                     BENCH_campaign.json
 #   make bench-kern — DSP kernel-layer benchmarks: the kern package's
 #                     kernel microbenchmarks plus the impair per-model
 #                     and FullChain rows they accelerate
 #   make bench-kern-v3 — bench-kern rebuilt with GOAMD64=v3 (AVX/FMA
 #                     baseline), for comparing instruction-set levels;
 #                     record the level next to any number you commit
-#   make bench-serve — streaming-serve gate only: rechunked-stream
-#                     frame-digest identity, overload-shedding check,
-#                     calibrated serve cost + allocation rate vs
-#                     BENCH_serve.json
-#   make bench-obs  — observability gate only: observation-identity
-#                     frame digests (off/on/no-obs), exact
-#                     metrics-vs-Report reconciliation, disabled- and
-#                     observed-path 0 allocs/op pins, calibrated cost +
-#                     observed/disabled overhead vs BENCH_obs.json
 #   make ci         — what a pipeline should run: vet + the three race
 #                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
 # and `make test-short` on two Go versions, lint, `make fuzz-smoke`,
 # `make test-purego` and the zzbench module's unit tests as separate
-# jobs, and `make bench-check` as a non-blocking perf canary.
+# jobs. Cost is measured by the zzbench module (`bash zzbench/run.sh`)
+# and the bench-* micro-benchmarks above; identity checks live in the
+# blocking tests.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -68,12 +54,12 @@ GO ?= go
 # default one test-race gives every package.
 OBS_PKGS = ./internal/obs/... ./internal/core/... ./internal/phy/... ./internal/serve/... ./internal/hatch/...
 
-# Packages the DSP kernel layer dispatches in; test-race-kern races
-# them with the ZIGZAG_NAIVE_KERNELS=1 switch set (the scalar-reference
-# paths, which agree with the kernels only to tolerance).
+# Packages that run the DSP kernel layer; test-race-kern races them on
+# the kernels' Go forms (the purego tag), which test-race, on amd64,
+# does not build.
 KERN_PKGS = ./internal/dsp/... ./internal/impair/... ./internal/channel/... ./internal/phy/... ./internal/core/...
 
-.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs test-purego fuzz-smoke bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
+.PHONY: all build vet lint test test-short test-race test-race-kern test-race-obs test-purego fuzz-smoke bench bench-correlate bench-decode bench-impair bench-kern bench-kern-v3 ci
 
 all: build
 
@@ -103,7 +89,7 @@ test-race-obs: build
 	ZIGZAG_NO_OBS=1 $(GO) test -short -race -count=2 $(OBS_PKGS)
 
 test-race-kern: build
-	ZIGZAG_NAIVE_KERNELS=1 $(GO) test -short -race -count=2 $(KERN_PKGS)
+	$(GO) test -short -race -count=2 -tags purego $(KERN_PKGS)
 
 # The purego tag swaps every assembly kernel for its Go form — the code
 # other architectures build — so this leg keeps those paths vetted and
@@ -139,21 +125,6 @@ bench-impair: build
 	$(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair
 	$(GO) test -bench='BenchmarkMix' -benchmem -run='^$$' ./internal/channel
 
-bench-check: build
-	$(GO) run ./cmd/zigzag-bench -check
-
-bench-kway: build
-	$(GO) run ./cmd/zigzag-bench -check -kway-only
-
-bench-campaign: build
-	$(GO) run ./cmd/zigzag-bench -check -campaign-only
-
-bench-serve: build
-	$(GO) run ./cmd/zigzag-bench -check -serve-only
-
-bench-obs: build
-	$(GO) run ./cmd/zigzag-bench -check -obs-only
-
 bench-kern: build
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/dsp/kern
 	$(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair
@@ -164,6 +135,6 @@ bench-kern-v3:
 	GOAMD64=v3 $(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair
 
 # Three race legs: test-race covers every package on the default
-# paths, and each remaining runtime switch gets one leg over the
-# packages it reaches.
+# paths, test-race-obs the packages the no-obs switch reaches, and
+# test-race-kern the kernel packages on the Go kernel forms.
 ci: vet test-race test-race-obs test-race-kern

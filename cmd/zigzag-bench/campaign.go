@@ -153,7 +153,10 @@ func runShard(exp, scaleName string, sc experiments.Scale, seed int64, k, shards
 }
 
 // runMerge folds shard partials (comma-separated paths) and renders
-// the merged result. Returns the process exit code.
+// the merged result. Returns the process exit code: 1, naming the
+// file, for a partial whose index lies outside [0, shards), one from a
+// different run, or a shard supplied twice, and 1 when the partials do
+// not cover every shard.
 func runMerge(list string) int {
 	paths := strings.Split(list, ",")
 	var (
@@ -170,6 +173,10 @@ func runMerge(list string) int {
 		f := shardFile{Campaign: campaign.NewAcc()}
 		if err := json.Unmarshal(data, &f); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+			return 1
+		}
+		if f.Index < 0 || f.Index >= f.Shards {
+			fmt.Fprintf(os.Stderr, "%s: shard index %d out of range for %d shards\n", path, f.Index, f.Shards)
 			return 1
 		}
 		if i == 0 {

@@ -7,7 +7,7 @@
 //	              table5-1|fig5-2a|fig5-2b|fig5-3|fig5-4|fig5-5|fig5-9|
 //	              harsh|kway|campaign]
 //	             [-scale quick|full] [-seed N] [-workers N] [-k N]
-//	             [-naive-kernels] [-no-obs]
+//	             [-no-obs]
 //	             [-shards N -shard i [-shard-out FILE]] [-merge F1,F2,...]
 //	             [-checkpoint FILE [-checkpoint-every N] [-stop-after-blocks N]]
 //
@@ -38,12 +38,11 @@
 // stdout byte-identical to the unsharded run, at any shard split and
 // worker count.
 //
-// The two runtime switches, -naive-kernels and -no-obs, come from the
-// internal/hatch registry; each has a matching ZIGZAG_* environment
-// variable, and an absent flag never overrides the environment.
+// The one runtime switch, -no-obs, comes from the internal/hatch
+// registry; ZIGZAG_NO_OBS sets it too, and an absent flag never
+// overrides the environment.
 //
-// Every output block is labelled with the paper artifact it reproduces;
-// EXPERIMENTS.md records paper-vs-measured values for each.
+// Every output block is labelled with the paper artifact it reproduces.
 package main
 
 import (
@@ -63,18 +62,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "root RNG seed")
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = all cores)")
 	kOrder := flag.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
-	check := flag.Bool("check", false,
-		"run the trimmed figure sweeps (calibrated units against BENCH_session.json), plus the DSP kernel gate (BENCH_kern.json), the k-way gate (BENCH_kway.json), the campaign shard-merge gate (BENCH_campaign.json) and the streaming-serve gate (BENCH_serve.json)")
-	kwayOnly := flag.Bool("kway-only", false,
-		"with -check: run only the k-way gate (k=2/3/4 decode cost)")
-	campaignOnly := flag.Bool("campaign-only", false,
-		"with -check: run only the campaign gate (shard-merge identity + reducer cost)")
-	serveOnly := flag.Bool("serve-only", false,
-		"with -check: run only the serve gate (rechunked-stream identity, overload shedding, throughput/allocation floor)")
-	obsOnly := flag.Bool("obs-only", false,
-		"with -check: run only the observability gate (observation-identity digests, metric/report reconciliation, disabled-path alloc + cost pins)")
-	benchOut := flag.String("bench-out", "",
-		"with -check: also write the measured numbers to this JSON file")
 	shards := flag.Int("shards", 1, "split the experiment's trial space into N shards (fig5-3, harsh, kway, campaign)")
 	shard := flag.Int("shard", 0, "with -shards: which shard THIS process runs (0-based)")
 	shardOut := flag.String("shard-out", "", "with -shards: write the mergeable shard partial JSON here (default stdout)")
@@ -88,9 +75,6 @@ func main() {
 	if *kOrder < 2 || *kOrder > 4 {
 		fmt.Fprintln(os.Stderr, "-k must be 2, 3 or 4")
 		os.Exit(2)
-	}
-	if *check {
-		os.Exit(runBenchCheck(*benchOut, *kwayOnly, *campaignOnly, *serveOnly, *obsOnly))
 	}
 	if *mergeList != "" {
 		os.Exit(runMerge(*mergeList))
@@ -160,7 +144,7 @@ func fig42(seed int64) {
 func fig44(sc experiments.Scale, seed int64) {
 	res := experiments.Fig44ErrorDecay(sc.Trials*20, seed, sc.Workers)
 	fmt.Print(res.Series.Format())
-	fmt.Printf("# measured propagation probability: %.4f (worst-case BPSK model; paper quotes 1/6 — see EXPERIMENTS.md)\n",
+	fmt.Printf("# measured propagation probability: %.4f (worst-case BPSK model; paper quotes 1/6 from the same geometry)\n",
 		res.PropagationProbability)
 }
 

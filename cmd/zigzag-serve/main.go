@@ -12,7 +12,7 @@
 //	             [-chunk 512] [-policy drop-oldest|degrade]
 //	             [-max-pending 8] [-poll-budget 0]
 //	             [-record FILE | -replay FILE] [-capture-format complex128|complex64]
-//	             [-listen ADDR] [-json] [-naive-kernels] [-no-obs]
+//	             [-listen ADDR] [-json] [-no-obs]
 //
 // By default the engine serves a synthetic hidden-terminal workload:
 // -episodes collision episodes of -k mutually hidden senders, each
@@ -39,9 +39,9 @@
 // phases labeled. The exported counters reconcile exactly with the
 // final report. -no-obs (ZIGZAG_NO_OBS=1) disables the whole layer.
 //
-// The two runtime switches, -naive-kernels and -no-obs, come from the
-// internal/hatch registry; each has a matching ZIGZAG_* environment
-// variable, and an absent flag never overrides the environment.
+// The one runtime switch, -no-obs, comes from the internal/hatch
+// registry; ZIGZAG_NO_OBS sets it too, and an absent flag never
+// overrides the environment.
 package main
 
 import (

@@ -9,7 +9,7 @@
 //	           [-doppler 0] [-rician-k 0] [-coherence-block 0]
 //	           [-mp-doppler 0] [-drift 0] [-phase-noise 0]
 //	           [-interf-duty 0] [-interf-amp 1] [-adc-bits 0]
-//	           [-naive-kernels] [-no-obs]
+//	           [-no-obs]
 //
 // -workers sizes the worker pool for the run's parallel sections (the
 // collision-free scheduler's independent slots; 0 = all cores). Results
@@ -22,9 +22,9 @@
 // clipping/quantization. With none set (a zero impair.Profile) the run
 // is the static paper channel, byte-identical to pre-impair builds.
 //
-// The two runtime switches, -naive-kernels and -no-obs, come from the
-// internal/hatch registry; each has a matching ZIGZAG_* environment
-// variable, and an absent flag never overrides the environment.
+// The one runtime switch, -no-obs, comes from the internal/hatch
+// registry; ZIGZAG_NO_OBS sets it too, and an absent flag never
+// overrides the environment.
 //
 // With -senders 3 or 4 the stations are mutually hidden (-senders 3 is
 // the Fig 5-9 scenario); collisions of that order resolve through the

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"zigzag/internal/dsp"
-	"zigzag/internal/dsp/kern"
 )
 
 // Params describes one sender→receiver link. The zero value is a perfect
@@ -221,7 +220,7 @@ func (a *Air) MixInto(dst []complex128, n int, emissions ...Emission) []complex1
 	if imp != nil {
 		imp.BeginReception()
 	}
-	if b, ok := imp.(EmissionBatcher); ok && !kern.Naive() {
+	if b, ok := imp.(EmissionBatcher); ok {
 		// Batched path: render every emission first, impair the batch in
 		// one call (byte-identical to the sequential path — each
 		// (emission, model) application derives its own seed), then mix.

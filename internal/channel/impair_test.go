@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"zigzag/internal/dsp/kern"
 	"zigzag/internal/impair"
 )
 
@@ -56,10 +55,8 @@ func checksum(buf []complex128) uint64 {
 // moved to kern.MulTone; the previous Rotator-recurrence digest was
 // 0xa235ed69f93bc1bf, and the two agree to ≤1e-9 of the signal scale).
 // Any change to this value means the nil-impairment path's waveform
-// changed. (The -naive-kernels path reproduces the default one only to
-// tolerance, not bit for bit, so the hard golden applies to the default
-// path; the nil/empty/zero-profile mutual identity below holds on both
-// kernel paths.)
+// changed. The SSE2 and purego forms of the kernels render this
+// static path to the same bits.
 const staticMixGolden uint64 = 0x92e333dca7a40a96
 
 // TestMixNilImpairGolden pins the acceptance criterion "a nil
@@ -73,7 +70,7 @@ func TestMixNilImpairGolden(t *testing.T) {
 		return checksum(air.Mix(n, ems...))
 	}
 	static := render(func(a *Air) {})
-	if !kern.Naive() && static != staticMixGolden {
+	if static != staticMixGolden {
 		t.Fatalf("static path digest %#x, want pinned %#x", static, staticMixGolden)
 	}
 	if got := render(func(a *Air) { a.Impair = &impair.Chain{} }); got != static {
@@ -139,8 +136,7 @@ func TestMixImpairAllocFree(t *testing.T) {
 
 // End-to-end mix benchmarks: the collision generator's per-reception
 // cost with the impairment chain off (the static paper channel) and
-// fully on. make bench-impair tracks the ratio; BENCH_impair.json
-// records it.
+// fully on. make bench-impair runs them.
 func benchMix(b *testing.B, chain *impair.Chain) {
 	air, ems, n := impairScenario(99)
 	air.Impair = chain

@@ -6,8 +6,8 @@ package kern
 // ISI image filter. Both reproduce their scalar references bit for bit
 // — each output accumulates its taps in the exact scalar order, packed
 // only across the independent real/imaginary lanes and across
-// independent outputs — so they need no naive-hatch gating; the fuzz
-// suite pins the equivalence exactly.
+// independent outputs — and the fuzz suite pins the equivalence
+// exactly.
 
 // FIRReal8 writes dst[i] = Σ_{j<8} coef[j]·x[i+j] with the sequential
 // j-order accumulation of the scalar reference. x must hold at least

@@ -22,7 +22,7 @@
 // cosine recurrence c_n = 2cos(ω)·c_{n−1} − c_{n−2}, and the complex
 // phasor product), which accumulate rounding error quadratically in the
 // step count. Instead of the periodic magnitude renormalization the
-// naive dsp.Rotator uses, every kernel re-anchors exactly — a fresh
+// dsp.Rotator recurrence uses, every kernel re-anchors exactly — a fresh
 // math.Sincos evaluation — at the start of every AnchorBlock-sample
 // block, bounding the drift of a block to ≲ AnchorBlock²·ε ≈ 3e-11,
 // comfortably inside the package's documented 1e-9 tolerance.
@@ -34,40 +34,24 @@
 // bit for bit. Kernels that reassociate sums or replace a phasor
 // product chain with anchored recurrences (Accum, RotateQuad, AddTone's
 // tone samples) agree with the references to ≤1e-9 of the signal scale;
-// the fuzz suite in this package pins both classes. The naive
-// per-sample reference paths stay available process-wide via SetNaive /
-// ZIGZAG_NAIVE_KERNELS=1 / the CLIs' -naive-kernels flag.
+// the fuzz suite in this package pins both classes. The per-sample
+// scalar path each consumer ran before its kernel is a test oracle in
+// the consumer's own package (dsp, impair, phy), held to the same
+// contract.
+//
+// # Kernel forms
+//
+// The build alone picks a kernel's form: SSE2 assembly under
+// amd64 && !purego, the Go form everywhere else. There is no runtime
+// switch between them.
 package kern
 
-import (
-	"math"
-	"os"
-	"sync/atomic"
-)
+import "math"
 
 // AnchorBlock is the exact re-anchoring cadence of every recurrence
 // kernel: each block of this many samples starts from fresh
 // math.Sincos evaluations of the closed-form phase.
 const AnchorBlock = 512
-
-// forceNaive pins every kernel consumer back to its per-sample scalar
-// path — the debugging escape hatch isolating a numeric anomaly from
-// the kernel layer. Set programmatically via SetNaive or at startup
-// with ZIGZAG_NAIVE_KERNELS=1.
-var forceNaive atomic.Bool
-
-func init() {
-	if v := os.Getenv("ZIGZAG_NAIVE_KERNELS"); v != "" && v != "0" {
-		forceNaive.Store(true)
-	}
-}
-
-// SetNaive pins (or unpins) all kernel consumers to their naive
-// per-sample reference paths. Safe for concurrent use.
-func SetNaive(v bool) { forceNaive.Store(v) }
-
-// Naive reports whether the naive reference paths are pinned.
-func Naive() bool { return forceNaive.Load() }
 
 // smallAngle is the |δ| threshold below which sincosSmall uses its
 // polynomial: at 1/32 rad the truncation error of the degree-7/6

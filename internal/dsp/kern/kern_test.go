@@ -328,16 +328,3 @@ func TestSincosSmall(t *testing.T) {
 		}
 	}
 }
-
-func TestNaiveHatch(t *testing.T) {
-	old := Naive()
-	defer SetNaive(old)
-	SetNaive(true)
-	if !Naive() {
-		t.Fatal("SetNaive(true) not observed")
-	}
-	SetNaive(false)
-	if Naive() {
-		t.Fatal("SetNaive(false) not observed")
-	}
-}

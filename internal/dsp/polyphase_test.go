@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-
-	"zigzag/internal/dsp/kern"
 )
 
 // TestKernelMatchesSincHann pins the closed-form phase FIR against
@@ -144,8 +142,8 @@ func TestShiftPathsAgree(t *testing.T) {
 }
 
 // TestRotatorMatchesExp checks the recurrence against per-sample
-// cmplx.Exp over several renormalization periods, and its bit-identity
-// with Rotate (which is built on it).
+// cmplx.Exp over several renormalization periods, and Rotate against
+// the same closed form.
 func TestRotatorMatchesExp(t *testing.T) {
 	const phase0, step = 0.7, -0.0043
 	rot := NewRotator(phase0, step)
@@ -159,23 +157,13 @@ func TestRotatorMatchesExp(t *testing.T) {
 	for i := range x {
 		x[i] = complex(1, 0)
 	}
-	// Default path: Rotate runs on kern.MulTone, pinned to the closed
-	// form within the kernel layer's 1e-9 tolerance. Naive path: bit
-	// identical to the Rotator recurrence it is built on.
+	// Rotate runs on kern.MulTone, pinned to the closed form within the
+	// kernel layer's 1e-9 tolerance.
 	got := Rotate(nil, x, phase0, step)
 	for i := range got {
 		want := cmplx.Exp(complex(0, phase0+float64(i)*step))
 		if e := absC(got[i] - want); e > 1e-9 {
 			t.Fatalf("Rotate drifted from closed form at %d: Δ=%g", i, e)
-		}
-	}
-	kern.SetNaive(true)
-	defer kern.SetNaive(false)
-	got = Rotate(nil, x, phase0, step)
-	ref := NewRotator(phase0, step)
-	for i := range got {
-		if got[i] != ref.Next() {
-			t.Fatalf("naive Rotate is not bit-identical to the Rotator recurrence at %d", i)
 		}
 	}
 }

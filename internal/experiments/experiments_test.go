@@ -130,11 +130,13 @@ func TestTable51Smoke(t *testing.T) {
 	if res.NoTracking1500 > 0.2 {
 		t.Fatalf("1500B without tracking should mostly fail, got %v", res.NoTracking1500)
 	}
-	// The ISI-filter row is within sampling noise under the default mild
-	// profile (see EXPERIMENTS.md); only guard against a gross
-	// regression of the reconstruction filter. Short mode runs so few
-	// pairs that one flipped packet moves the rate by ~0.17, so the
-	// guard widens there.
+	// The ISI-filter row does not reproduce the paper's gap: with and
+	// without the filter read within sampling noise of each other
+	// (83.3% and 87.5% at 10 dB in `zigzag-bench -exp table5-1 -scale
+	// quick -seed 1`, against the paper's 99.6% and 47%), so only guard
+	// against a gross regression of the reconstruction filter. Short
+	// mode runs so few pairs that one flipped packet moves the rate by
+	// ~0.17, so the guard widens there.
 	tol := 0.25
 	if testing.Short() {
 		tol = 0.51

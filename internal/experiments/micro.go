@@ -48,9 +48,8 @@ type Fig44Result struct {
 // amplitudes and a uniform relative phase), a BPSK flip needs
 // 1 + 2·cos(φ) < 0, i.e. φ within 60° of opposition — an arc of 120°,
 // so the measured propagation probability is 1/3 per chunk. (The paper
-// quotes 1/6 from the same geometry; the discrepancy is noted in
-// EXPERIMENTS.md. Either constant gives the figure's message: error
-// runs die exponentially fast.)
+// quotes 1/6 from the same geometry. Either constant gives the
+// figure's message: error runs die exponentially fast.)
 //
 // Individual draws are sub-microsecond, so the worker pool maps over
 // fixed-size batches of them; workers is the pool size (0 = GOMAXPROCS).

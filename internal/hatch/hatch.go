@@ -1,28 +1,26 @@
-// Package hatch is the single registry of the repository's runtime
-// switches: the two an operator may really flip on a running build.
-// naive-kernels pins the DSP kernel layer to its scalar references,
-// which agree only to tolerance and so cannot be a test-only oracle;
-// no-obs detaches the observability layer. Every other reference path
-// (the naive correlator, per-sample interpolation, unpooled sessions,
-// pairwise SIC at k ≥ 3, materialized metrics, one-shot ingest) lives
-// in the tests as an oracle, not in the program. Each hatch has exactly
-// one flag name, one ZIGZAG_* environment variable (derived from the
-// flag name, so the two can never drift), and one setter/getter pair
-// in the package that owns the path. The CLIs wire every hatch with a
-// single Bind call.
+// Package hatch is the registry of the repository's runtime switches.
+// One remains: no-obs, which detaches the observability layer. Every
+// reference path (the naive correlator, per-sample interpolation, the
+// scalar kernel references, unpooled sessions, pairwise SIC at k ≥ 3,
+// materialized metrics, one-shot ingest) lives in the tests as an
+// oracle, not in the program, and the build alone picks the DSP kernel
+// form (SSE2 assembly on amd64 without the purego tag, Go elsewhere).
+// A hatch has exactly one flag name, one ZIGZAG_* environment variable
+// (derived from the flag name, so the two can never drift), and one
+// setter/getter pair in the package that owns the path. The CLIs wire
+// every hatch with a single Bind call.
 //
-// Precedence discipline, shared by every hatch: the environment
-// variable is read once at process init by the owning package, and any
-// value other than "" or "0" sets the hatch; an explicit `-<hatch>`
-// flag forces the hatch ON; an *absent* flag never touches the state,
-// so a bare CLI invocation cannot clobber the environment.
+// Precedence discipline: the environment variable is read once at
+// process init by the owning package, and any value other than "" or
+// "0" sets the hatch; an explicit `-<hatch>` flag forces the hatch ON;
+// an *absent* flag never touches the state, so a bare CLI invocation
+// cannot clobber the environment.
 package hatch
 
 import (
 	"flag"
 	"strings"
 
-	"zigzag/internal/dsp/kern"
 	"zigzag/internal/obs"
 )
 
@@ -53,9 +51,6 @@ func mk(name, help string, set func(bool), get func() bool) Hatch {
 
 // registry lists every hatch in stable (documentation) order.
 var registry = []Hatch{
-	mk("naive-kernels",
-		"pin the DSP kernel layer (oscillator banks, packed FIR/rotation, batched emission impairment) to its per-sample scalar reference paths (debugging)",
-		kern.SetNaive, kern.Naive),
 	mk("no-obs",
 		"globally disable the structured observability layer (no event emission, no metric attachment; bit-identical hot path)",
 		obs.SetDisabled, obs.Disabled),

@@ -19,28 +19,19 @@ func saveAll() func() {
 	}
 }
 
-// TestRegistryShape pins the anti-drift contract: every hatch's env
-// var is mechanically derived from its flag name, names are unique,
-// and every entry is fully wired.
+// TestRegistryShape pins the anti-drift contract: the registry holds
+// exactly the no-obs hatch, its env var is mechanically derived from
+// its flag name, and the entry is fully wired.
 func TestRegistryShape(t *testing.T) {
-	if len(registry) != 2 || registry[0].Name != "naive-kernels" || registry[1].Name != "no-obs" {
-		t.Fatalf("registry = %v, want exactly naive-kernels and no-obs", registry)
+	if len(registry) != 1 || registry[0].Name != "no-obs" {
+		t.Fatalf("registry = %v, want exactly no-obs", registry)
 	}
-	seen := map[string]bool{}
-	for _, h := range registry {
-		if h.Name == "" || h.Help == "" || h.Set == nil || h.Get == nil {
-			t.Fatalf("hatch %q is incompletely wired", h.Name)
-		}
-		if seen[h.Name] {
-			t.Fatalf("duplicate hatch name %q", h.Name)
-		}
-		seen[h.Name] = true
-		if want := EnvFor(h.Name); h.Env != want {
-			t.Fatalf("hatch %q env = %q, want derived %q", h.Name, h.Env, want)
-		}
+	h := registry[0]
+	if h.Help == "" || h.Set == nil || h.Get == nil {
+		t.Fatalf("hatch %q is incompletely wired", h.Name)
 	}
-	if want := "ZIGZAG_NAIVE_KERNELS"; EnvFor("naive-kernels") != want {
-		t.Fatalf("EnvFor derivation changed: %q", EnvFor("naive-kernels"))
+	if want := "ZIGZAG_NO_OBS"; h.Env != want || EnvFor(h.Name) != want {
+		t.Fatalf("hatch %q env = %q (EnvFor %q), want %q", h.Name, h.Env, EnvFor(h.Name), want)
 	}
 }
 
@@ -61,27 +52,31 @@ func TestSetGetRoundTrip(t *testing.T) {
 }
 
 // TestBindAppliesExplicitFlagsOnly pins the env-precedence discipline:
-// apply forces exactly the hatches named on the command line and
-// leaves every other hatch's state untouched — including one already
-// forced on (as ZIGZAG_*=1 at process init would have).
+// apply forces the hatch on when its flag is named, and an absent flag
+// leaves the state untouched — off stays off, and on (as ZIGZAG_NO_OBS=1
+// at process init would set it) stays on.
 func TestBindAppliesExplicitFlagsOnly(t *testing.T) {
 	defer saveAll()()
-	for _, argv := range [][]string{nil, {"-" + registry[0].Name}} {
-		registry[0].Set(false)
-		registry[1].Set(true) // stands in for ZIGZAG_NO_OBS=1
-
+	h := registry[0]
+	for _, tc := range []struct {
+		argv      []string
+		before    bool
+		wantAfter bool
+	}{
+		{nil, false, false},
+		{nil, true, true},
+		{[]string{"-" + h.Name}, false, true},
+	} {
+		h.Set(tc.before)
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		apply := Bind(fs)
-		if err := fs.Parse(argv); err != nil {
+		if err := fs.Parse(tc.argv); err != nil {
 			t.Fatal(err)
 		}
 		apply()
-
-		if got, want := registry[0].Get(), len(argv) > 0; got != want {
-			t.Fatalf("argv %q: hatch %q = %v after apply, want %v", argv, registry[0].Name, got, want)
-		}
-		if !registry[1].Get() {
-			t.Fatalf("argv %q: absent flag cleared hatch %q", argv, registry[1].Name)
+		if got := h.Get(); got != tc.wantAfter {
+			t.Fatalf("argv %q, state %v before: hatch %q = %v after apply, want %v",
+				tc.argv, tc.before, h.Name, got, tc.wantAfter)
 		}
 	}
 }

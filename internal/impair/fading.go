@@ -2,7 +2,6 @@ package impair
 
 import (
 	"math"
-	"math/cmplx"
 
 	"zigzag/internal/dsp"
 	"zigzag/internal/dsp/kern"
@@ -24,11 +23,10 @@ import (
 // stresses ZigZag's chunk-wise re-estimation — and independent across
 // receptions, matching how the rest of the simulator re-draws links.
 //
-// The hot path runs on the kern oscillator-bank kernels (gain
-// trajectory accumulated into SoA planes, one fused multiply pass);
-// kern.SetNaive pins the per-sample rotator reference, which the kern
-// path reproduces to ≤1e-9 of the signal scale (identical rng draws,
-// reassociated arithmetic).
+// It runs on the kern oscillator-bank kernels (gain trajectory
+// accumulated into SoA planes, one fused multiply pass), within ≤1e-9
+// of the signal scale of a per-sample rotator evaluation of the same
+// draws; that evaluation is the package tests' oracle.
 type Fading struct {
 	// Doppler is the normalized maximum Doppler shift f_d·T in cycles
 	// per sample. 0 freezes each trajectory at its initial draw (pure
@@ -45,9 +43,7 @@ type Fading struct {
 	// Block·T) instead of evaluating it per sample.
 	Block int
 
-	rot []dsp.Rotator // per-path oscillators (naive path), re-seeded per application
-
-	// kern-path scratch: the oscillator bank and the gain planes.
+	// Scratch: the oscillator bank and the gain planes.
 	amp, phase, step []float64
 	re, im           []float64
 }
@@ -78,21 +74,16 @@ func (f *Fading) block() int {
 // on the reception's sample grid so an emission's trajectory does not
 // depend on where in the window it starts being rendered.
 func (f *Fading) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		f.applyNaive(seed, buf, off)
-		return
-	}
 	p := f.paths()
 	blk := f.block()
 	rng := newStream(seed)
 	f.amp = growF(f.amp, p)
 	f.phase = growF(f.phase, p)
 	f.step = growF(f.step, p)
-	// Per-path arrival angles and phases, drawn in the naive path's
-	// exact order; the grid origin off is folded into the initial phase
-	// so the trajectory is a pure function of the absolute sample index,
-	// and with Block > 1 each oscillator steps one *block* per plane
-	// entry.
+	// Per-path arrival angles and phases; the grid origin off is folded
+	// into the initial phase so the trajectory is a pure function of the
+	// absolute sample index, and with Block > 1 each oscillator steps
+	// one *block* per plane entry.
 	scatterAmp := math.Sqrt(1 / (float64(p) * (f.K + 1)))
 	base := float64(off)
 	for k := 0; k < p; k++ {
@@ -102,8 +93,12 @@ func (f *Fading) ApplyLink(seed int64, buf []complex128, off int) {
 		f.phase[k] = phi + omega*base
 		f.step[k] = omega * float64(blk)
 	}
-	// Line-of-sight component: random phase, power K/(K+1), static
-	// within a reception — a constant folded into the fused multiply.
+	// Line-of-sight component: random phase, power K/(K+1), modeled
+	// static within a reception (the standard specular simplification —
+	// a rotating LOS is an ordinary carrier offset, which the Drift
+	// model covers), so K→∞ converges to the paper's quasi-static
+	// channel and the K sweep isolates fade depth. It is a constant
+	// folded into the fused multiply.
 	losAmp := math.Sqrt(f.K / (f.K + 1))
 	losSin, losCos := math.Sincos(rng.angle())
 	m := (len(buf) + blk - 1) / blk
@@ -114,48 +109,6 @@ func (f *Fading) ApplyLink(seed int64, buf []complex128, off int) {
 		kern.MulPlanes(buf, f.re, f.im, losAmp*losCos, losAmp*losSin)
 	} else {
 		kern.MulPlanesHeld(buf, f.re, f.im, losAmp*losCos, losAmp*losSin, blk)
-	}
-}
-
-// applyNaive is the per-sample rotator reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
-func (f *Fading) applyNaive(seed int64, buf []complex128, off int) {
-	p := f.paths()
-	blk := f.block()
-	rng := newStream(seed)
-	if cap(f.rot) < p+1 {
-		f.rot = make([]dsp.Rotator, p+1)
-	}
-	rot := f.rot[:p+1]
-	// Per-path arrival angles and phases; the rotators advance one
-	// *block* per step, and the grid origin off is folded into the
-	// initial phase so the trajectory is a pure function of the
-	// absolute sample index.
-	scatterAmp := math.Sqrt(1 / (float64(p) * (f.K + 1)))
-	base := float64(off)
-	for k := 0; k < p; k++ {
-		omega := 2 * math.Pi * f.Doppler * math.Cos(rng.angle())
-		phi := rng.angle()
-		rot[k] = dsp.NewRotator(phi+omega*base, omega*float64(blk))
-	}
-	// Line-of-sight component: random phase, power K/(K+1), modeled
-	// static within a reception (the standard specular simplification —
-	// a rotating LOS is an ordinary carrier offset, which the Drift
-	// model covers). This keeps K→∞ converging to the paper's
-	// quasi-static channel, so the K sweep isolates fade depth.
-	losAmp := math.Sqrt(f.K / (f.K + 1))
-	rot[p] = dsp.NewRotator(rng.angle(), 0)
-
-	var g complex128
-	for i := range buf {
-		if i%blk == 0 {
-			var sc complex128
-			for k := 0; k < p; k++ {
-				sc += rot[k].Next()
-			}
-			g = complex(scatterAmp, 0)*sc + complex(losAmp, 0)*rot[p].Next()
-		}
-		buf[i] *= g
 	}
 }
 
@@ -187,12 +140,11 @@ func growF(dst []float64, n int) []float64 {
 // removed — delay-spread distortion whose shape drifts during the
 // packet, which is exactly what makes a one-shot FitISI stale.
 //
-// The hot path shares one kern oscillator bank across all taps (one
-// contiguous amp/phase/step triple, per-tap segments), renders each
-// tap's trajectory into a tap-major plane pair, and convolves in place
-// with one fused backward pass (kern.MulTaps); kern.SetNaive pins the
-// per-sample rotator reference (≤1e-9 of signal scale, identical rng
-// draws).
+// It shares one kern oscillator bank across all taps (one contiguous
+// amp/phase/step triple, per-tap segments), renders each tap's
+// trajectory into a tap-major plane pair, and convolves in place with
+// one fused backward pass (kern.MulTaps), within ≤1e-9 of the signal
+// scale of the per-sample rotator oracle in the package tests.
 type Multipath struct {
 	// Powers are the relative mean tap powers (tap k delayed k
 	// samples); nil means DefaultMultipathPowers.
@@ -202,10 +154,7 @@ type Multipath struct {
 	// Paths is the sum-of-sinusoids order per tap; 0 means 8.
 	Paths int
 
-	rot []dsp.Rotator
-	in  []complex128
-
-	// kern-path scratch: one oscillator bank shared across taps and a
+	// Scratch: one oscillator bank shared across taps and a
 	// tap-major trajectory plane pair (tap k at [k·n, (k+1)·n)).
 	amp, phase, step []float64
 	re, im           []float64
@@ -236,10 +185,6 @@ func (m *Multipath) paths() int {
 // Delay-spread energy beyond the emission's last sample is clipped —
 // the same window clipping the static channel's Air applies.
 func (m *Multipath) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		m.applyNaive(seed, buf, off)
-		return
-	}
 	powers := m.powers()
 	taps := len(powers)
 	p := m.paths()
@@ -252,9 +197,9 @@ func (m *Multipath) ApplyLink(seed int64, buf []complex128, off int) {
 		norm += pw
 	}
 	base := float64(off)
-	// One bank for all taps, filled in the naive path's draw order
-	// (tap-major); each tap's mean amplitude is folded into its
-	// oscillators, so the per-tap plane is amp_k·h_k(n) directly.
+	// One bank for all taps, drawn tap-major; each tap's mean amplitude
+	// is folded into its oscillators, so the per-tap plane is
+	// amp_k·h_k(n) directly.
 	for k := 0; k < taps; k++ {
 		a := math.Sqrt(powers[k] / (norm * float64(p)))
 		for j := 0; j < p; j++ {
@@ -276,48 +221,6 @@ func (m *Multipath) ApplyLink(seed int64, buf []complex128, off int) {
 	kern.MulTaps(buf, m.re[:taps*n], m.im[:taps*n], taps)
 }
 
-// applyNaive is the per-sample rotator reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
-func (m *Multipath) applyNaive(seed int64, buf []complex128, off int) {
-	powers := m.powers()
-	taps := len(powers)
-	p := m.paths()
-	rng := newStream(seed)
-	if cap(m.rot) < taps*p {
-		m.rot = make([]dsp.Rotator, taps*p)
-	}
-	rot := m.rot[:taps*p]
-	var norm float64
-	for _, pw := range powers {
-		norm += pw
-	}
-	base := float64(off)
-	var ampArr [16]float64
-	amps := ampArr[:0]
-	for k := 0; k < taps; k++ {
-		for j := 0; j < p; j++ {
-			omega := 2 * math.Pi * m.Doppler * math.Cos(rng.angle())
-			phi := rng.angle()
-			rot[k*p+j] = dsp.NewRotator(phi+omega*base, omega)
-		}
-		amps = append(amps, math.Sqrt(powers[k]/(norm*float64(p))))
-	}
-	m.in = append(m.in[:0], buf...)
-	for n := range buf {
-		var y complex128
-		for k := 0; k < taps; k++ {
-			var h complex128
-			for j := 0; j < p; j++ {
-				h += rot[k*p+j].Next()
-			}
-			if n-k >= 0 {
-				y += complex(amps[k], 0) * h * m.in[n-k]
-			}
-		}
-		buf[n] = y
-	}
-}
-
 // Drift rotates an emission by a wandering oscillator: a linear
 // carrier-frequency drift (Rate rad/sample², §3.1.1's offset made
 // time-varying) plus a Brownian phase-noise walk of per-sample
@@ -333,25 +236,20 @@ type Drift struct {
 	// random-walk increment in radians.
 	PhaseNoise float64
 
-	// kern-path scratch: the precomputed phase-noise increment plane.
+	// Scratch: the precomputed phase-noise increment plane.
 	delta []float64
 }
 
 // Name implements LinkModel.
 func (d *Drift) Name() string { return "drift" }
 
-// ApplyLink implements LinkModel. The hot path precomputes the
-// phase-noise walk increments into a plane (preserving the naive
-// path's per-sample rng draw order) and runs the block-anchored
-// quadratic-phase recurrence kernel; with PhaseNoise == 0 it collapses
-// to the pure carrier recurrence with no per-sample draws or Sincos at
-// all. kern.SetNaive pins the per-sample rotator reference (≤1e-9 of
-// signal scale).
+// ApplyLink implements LinkModel. It precomputes the phase-noise walk
+// increments into a plane, one normal draw per sample in sample order,
+// and runs the block-anchored quadratic-phase recurrence kernel; with
+// PhaseNoise == 0 it collapses to the pure carrier recurrence with no
+// per-sample draws or Sincos at all. It agrees with the per-sample
+// rotator oracle in the package tests to ≤1e-9 of the signal scale.
 func (d *Drift) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		d.applyNaive(seed, buf, off)
-		return
-	}
 	if d.PhaseNoise > 0 {
 		rng := newStream(seed)
 		n := len(buf)
@@ -379,45 +277,4 @@ func (d *Drift) ApplyLink(seed int64, buf []complex128, off int) {
 		return
 	}
 	kern.RotateQuad(buf, d.Rate, nil)
-}
-
-// applyNaive is the per-sample reference path: the quadratic ramp on a
-// second-order rotator recurrence (two complex multiplies per sample);
-// the phase-noise walk, when enabled, contributes one Sincos per
-// sample. Both accumulators renormalize on the dsp.Rotator cadence so
-// packet-length products do not drift in magnitude. The PhaseNoise
-// branch is hoisted out of the sample loop, so the zero case runs the
-// pure recurrence (and draws nothing from the stream), bit-identically
-// to the historical per-sample guard.
-func (d *Drift) applyNaive(seed int64, buf []complex128, off int) {
-	rng := newStream(seed)
-	// cur = e^{jφ(n)}, step = e^{j(Rate·n + Rate/2)}, so that
-	// φ(n) = Rate·n²/2 exactly on integer steps.
-	cur := complex(1, 0)
-	step := cmplx.Exp(complex(0, d.Rate/2))
-	stepInc := cmplx.Exp(complex(0, d.Rate))
-	if d.PhaseNoise > 0 {
-		for i := range buf {
-			v := cur
-			sin, cos := math.Sincos(d.PhaseNoise * rng.norm())
-			cur *= complex(cos, sin)
-			buf[i] *= v
-			cur *= step
-			step *= stepInc
-			if i&0x3ff == 0x3ff {
-				cur /= complex(cmplx.Abs(cur), 0)
-				step /= complex(cmplx.Abs(step), 0)
-			}
-		}
-		return
-	}
-	for i := range buf {
-		buf[i] *= cur
-		cur *= step
-		step *= stepInc
-		if i&0x3ff == 0x3ff {
-			cur /= complex(cmplx.Abs(cur), 0)
-			step /= complex(cmplx.Abs(step), 0)
-		}
-	}
 }

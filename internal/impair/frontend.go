@@ -1,11 +1,6 @@
 package impair
 
-import (
-	"math"
-
-	"zigzag/internal/dsp"
-	"zigzag/internal/dsp/kern"
-)
+import "zigzag/internal/dsp/kern"
 
 // Interferer adds a bursty narrowband tone to the mixed reception —
 // the classic coexistence nuisance (a Bluetooth hop, a leaky
@@ -48,18 +43,14 @@ func (it *Interferer) Duty() float64 {
 	return on / (on + off)
 }
 
-// ApplyFront implements FrontModel. The hot path scans the Markov
-// chain first — consuming the rng stream in exactly the naive order,
-// so the burst boundaries are bit-identical decisions — and then
-// renders each recorded burst with one anchored-phasor AddTone pass
-// over its sample range; kern.SetNaive pins the interleaved per-sample
-// rotator reference, which the burst rendering matches to ≤1e-9 of the
-// tone amplitude.
+// ApplyFront implements FrontModel. It scans the Markov chain first —
+// one draw per sample for the transition, plus one phase draw as each
+// burst starts, interleaved in sample order — and then renders each
+// recorded burst with one anchored-phasor AddTone pass over its sample
+// range. The burst boundaries are the same decisions as a per-sample
+// rotator loop over the same draws, and the rendering matches it to
+// ≤1e-9 of the tone amplitude; that loop is the package tests' oracle.
 func (it *Interferer) ApplyFront(seed int64, buf []complex128) {
-	if kern.Naive() {
-		it.applyNaive(seed, buf)
-		return
-	}
 	on, off := it.means()
 	pOnOff := 1 / on
 	pOffOn := 1 / off
@@ -79,37 +70,11 @@ func (it *Interferer) ApplyFront(seed int64, buf []complex128) {
 		} else if rng.float64() < pOffOn {
 			active = true
 			phase = rng.angle()
-			start = i + 1 // the naive path starts the tone on the *next* sample
+			start = i + 1 // a burst's tone starts on the *next* sample
 		}
 	}
 	if active && start < len(buf) {
 		kern.AddTone(buf[start:], it.Amp, phase, it.Freq)
-	}
-}
-
-// applyNaive is the per-sample reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
-func (it *Interferer) applyNaive(seed int64, buf []complex128) {
-	on, off := it.means()
-	pOnOff := 1 / on
-	pOffOn := 1 / off
-	rng := newStream(seed)
-	active := rng.float64() < it.Duty()
-	var tone dsp.Rotator
-	if active {
-		tone = dsp.NewRotator(rng.angle(), it.Freq)
-	}
-	amp := complex(it.Amp, 0)
-	for i := range buf {
-		if active {
-			buf[i] += amp * tone.Next()
-			if rng.float64() < pOnOff {
-				active = false
-			}
-		} else if rng.float64() < pOffOn {
-			active = true
-			tone = dsp.NewRotator(rng.angle(), it.Freq)
-		}
 	}
 }
 
@@ -154,21 +119,8 @@ func (a *ADC) ApplyFront(_ int64, buf []complex128) {
 	if levels < 1 {
 		levels = 1 // Bits=1: a three-level hard limiter, not a 0/0 NaN
 	}
-	if !kern.Naive() {
-		// Branch-free min/max clamp + the same round expression;
-		// bit-identical to the reference rail below for all inputs.
-		kern.ClipQuant(buf, fs, levels)
-		return
-	}
-	rail := func(x float64) float64 {
-		if x > fs {
-			x = fs
-		} else if x < -fs {
-			x = -fs
-		}
-		return math.Round(x/fs*levels) / levels * fs
-	}
-	for i := range buf {
-		buf[i] = complex(rail(real(buf[i])), rail(imag(buf[i])))
-	}
+	// Branch-free min/max clamp + round(x/fs·levels)/levels·fs per
+	// rail; bit-identical to the clamp-and-round rail loop the package
+	// tests hold it to.
+	kern.ClipQuant(buf, fs, levels)
 }

@@ -59,16 +59,11 @@ func TestLinkModelSeededDeterminism(t *testing.T) {
 		var fresh LinkModel
 		switch v := m.(type) {
 		case *Fading:
-			f := *v
-			f.rot = nil
-			fresh = &f
+			fresh = &Fading{Doppler: v.Doppler, K: v.K, Paths: v.Paths, Block: v.Block}
 		case *Multipath:
-			f := *v
-			f.rot, f.in = nil, nil
-			fresh = &f
+			fresh = &Multipath{Powers: v.Powers, Doppler: v.Doppler, Paths: v.Paths}
 		case *Drift:
-			f := *v
-			fresh = &f
+			fresh = &Drift{Rate: v.Rate, PhaseNoise: v.PhaseNoise}
 		}
 		d := append([]complex128(nil), in...)
 		fresh.ApplyLink(12345, d, 40)

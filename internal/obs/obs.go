@@ -38,8 +38,8 @@ var disabled atomic.Bool
 
 func init() { disabled.Store(envOn(os.Getenv("ZIGZAG_NO_OBS"))) }
 
-// envOn is the environment rule of every hatch (kern reads
-// ZIGZAG_NAIVE_KERNELS the same way): any value but "" and "0" is on.
+// envOn is the environment rule of every hatch: any value but "" and
+// "0" is on.
 func envOn(v string) bool { return v != "" && v != "0" }
 
 // SetDisabled pins (or unpins) the no-obs escape hatch. The CLIs expose

@@ -206,8 +206,8 @@ func TestDisabledHatch(t *testing.T) {
 	}
 }
 
-// TestEnvRule pins the ZIGZAG_NO_OBS rule, the one kern applies to
-// ZIGZAG_NAIVE_KERNELS: any value other than "" and "0" sets the hatch.
+// TestEnvRule pins the ZIGZAG_NO_OBS rule: any value other than "" and
+// "0" sets the hatch.
 func TestEnvRule(t *testing.T) {
 	for _, tc := range []struct {
 		v  string

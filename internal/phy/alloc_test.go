@@ -276,13 +276,7 @@ func TestTrainEqualizerFillRawMatchesRawSymbol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var num, den float64
-		for i, want := range ref.Taps {
-			e := d.eq[i] - want
-			num += real(e)*real(e) + imag(e)*imag(e)
-			den += real(want)*real(want) + imag(want)*imag(want)
-		}
-		if dist := math.Sqrt(num / den); dist > 1e-12 {
+		if dist := relL2(d.eq, ref.Taps); dist > 1e-12 {
 			t.Fatalf("seed %d: fillRaw taps %v, rawSymbol taps %v (relative L2 %.3g)", seed, d.eq, ref.Taps, dist)
 		}
 	}

@@ -125,10 +125,10 @@ func (d *SymbolDecoder) WithSync(s Sync) *SymbolDecoder {
 // fillRaw computes raw symbols sym0, sym0+1, … into raw using the
 // polyphase engine: all chips of the range are interpolated with one
 // phase FIR (the fractional part of Start+m is constant over the
-// packet), derotated by the recurrence rotator instead of a cmplx.Exp
-// per chip, normalized, and matched-filtered: raw[i] is the mean of
-// symbol sym0+i's chips, each interpolated at Start+chip, derotated by
-// Theta and divided by |Ĥ|.
+// packet), derotated by one anchored tone multiply instead of a
+// cmplx.Exp per chip, normalized, and matched-filtered: raw[i] is the
+// mean of symbol sym0+i's chips, each interpolated at Start+chip,
+// derotated by Theta and divided by |Ĥ|.
 func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 	sps := d.cfg.SamplesPerSymbol
 	nchips := len(raw) * sps
@@ -138,22 +138,9 @@ func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 	d.chipBuf = chips
 	ia := complex(d.invAmp, 0)
 	den := float64(sps)
-	if kern.Naive() {
-		rot := dsp.NewRotator(-d.sync.Theta(pos0), -d.sync.Freq)
-		ci := 0
-		for i := range raw {
-			var acc complex128
-			for j := 0; j < sps; j++ {
-				acc += chips[ci] * rot.Next() * ia
-				ci++
-			}
-			// Bit-identical to acc / complex(den, 0) — see dsp.DivPosReal.
-			raw[i] = dsp.DivPosReal(acc, den)
-		}
-		return
-	}
 	// Derotate the whole chip span in one anchored tone multiply, then
-	// matched-filter; within the kern tolerance of the rotator loop.
+	// matched-filter; within the kern tolerance of the per-chip
+	// reference (rawSymbol in the package tests).
 	kern.MulTone(chips, -d.sync.Theta(pos0), -d.sync.Freq)
 	ci := 0
 	for i := range raw {
@@ -162,6 +149,7 @@ func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 			acc += chips[ci] * ia
 			ci++
 		}
+		// Bit-identical to acc / complex(den, 0) — see dsp.DivPosReal.
 		raw[i] = dsp.DivPosReal(acc, den)
 	}
 }
@@ -267,29 +255,12 @@ func (d *SymbolDecoder) decodeRaw(raw []complex128, from, to int, reverse bool) 
 		}
 		return from + step
 	}
-	if kern.Naive() {
-		for s := 0; s < n; s++ {
-			k := idx(s)
-			z := d.equalizeAt(raw, base, k)
-			// Bit-identical to cmplx.Exp(complex(0, −phase)): exp(0) = 1.
-			sn, cs := math.Sincos(-d.phase)
-			z *= complex(cs, sn)
-			dec := modem.Slice(d.scheme, z)
-			soft[k-from] = z
-			decisions[k-from] = dec
-			if !d.cfg.DisablePhaseTracking {
-				err := phaseError(z, dec)
-				d.freqAdj += d.cfg.PLLFreqGain * err
-				d.phase += d.cfg.PLLGain*err + d.freqAdj
-				d.phase = dsp.WrapPhase(d.phase)
-			}
-		}
-		return decisions, soft
-	}
-	// Kern path: the correction phasor e^{−j·phase} advances by the loop
-	// increment through SincosSmall (the PLL step is tiny in steady
-	// state) and re-anchors from the exactly tracked phase every
-	// AnchorBlock symbols, like every other recurrence kernel.
+	// The correction phasor e^{−j·phase} advances by the loop increment
+	// through SincosSmall (the PLL step is tiny in steady state) and
+	// re-anchors from the exactly tracked phase every AnchorBlock
+	// symbols, like every other recurrence kernel. It stays within
+	// ≤1e-9 of a fresh Sincos of the phase per symbol, the package
+	// tests' oracle.
 	sn, cs := math.Sincos(-d.phase)
 	anchor := 0
 	for s := 0; s < n; s++ {

@@ -217,16 +217,8 @@ func (m *Modeler) BuildImage(chips []complex128, chipFrom, chipTo int) ([]comple
 	w := m.alignedWaveMasked(chips, chipFrom, chipTo, n0, n1)
 	m.img = m.g.Apply(dsp.Ensure(m.img, len(w)), w)
 	img := m.img
-	if kern.Naive() {
-		// Recurrence rotator: θ(n0+i) = θ(n0) + i·freq.
-		rot := dsp.NewRotator(m.ramp(float64(n0)), m.freq)
-		for i := range img {
-			img[i] *= rot.Next()
-		}
-		return img, n0
-	}
 	// Anchored two-chain ramp kernel: θ(n0+i) = θ(n0) + i·freq, within
-	// the kern tolerance of the rotator recurrence.
+	// the kern tolerance of a per-sample cmplx.Exp of the ramp.
 	kern.MulTone(img, m.ramp(float64(n0)), m.freq)
 	return img, n0
 }
@@ -263,16 +255,10 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	// Derotate the residual by the ramp so the fit is time-invariant.
 	m.yBuf = dsp.Ensure(m.yBuf, n1-n0)
 	y := m.yBuf
-	if kern.Naive() {
-		for n := n0; n < n1; n++ {
-			y[n-n0] = residual[n] * cmplx.Exp(complex(0, -m.ramp(float64(n))))
-		}
-	} else {
-		// The ramp is linear in n, so the per-sample cmplx.Exp collapses
-		// to one anchored tone multiply over the copied span.
-		copy(y, residual[n0:n1])
-		kern.MulTone(y, -m.ramp(float64(n0)), -m.freq)
-	}
+	// The ramp is linear in n, so a per-sample cmplx.Exp collapses to
+	// one anchored tone multiply over the copied span.
+	copy(y, residual[n0:n1])
+	kern.MulTone(y, -m.ramp(float64(n0)), -m.freq)
 	g, err := m.lsq.EstimateFIR(w, y, margin, len(y)-margin, m.cfg.ModelTaps)
 	if err != nil {
 		return err

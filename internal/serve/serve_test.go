@@ -157,6 +157,38 @@ func TestEngineStreamingOneshotIdentity(t *testing.T) {
 	}
 }
 
+// TestEngineDigestGolden pins the frame digest and the per-path frame
+// counts of fixed streams: what `zigzag-serve -json -payload 60 -seed 1`
+// serves at -k 2 and -k 3. The SSE2 and the purego kernel forms must
+// both decode to these constants. A k=3 episode costs about 110 ms
+// against under 2 ms at k=2, so -short runs the k=3 stream at 12
+// episodes, which still delivers through all three paths, and the full
+// suite adds the 64-episode one.
+func TestEngineDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		k, episodes                       int
+		digest                            uint64
+		frames, standard, zigzag, capture int64
+		long                              bool
+	}{
+		{2, 64, 5758092518429777827, 68, 15, 52, 1, false},
+		{3, 12, 4440780409684193741, 18, 2, 15, 1, false},
+		{3, 64, 1611712934076278826, 60, 7, 45, 8, true},
+	} {
+		if tc.long && testing.Short() {
+			continue
+		}
+		rep := runEngine(t, SynthConfig{Seed: 1, K: tc.k, Episodes: tc.episodes, Payload: 60}, Config{})
+		if rep.FrameDigest != tc.digest {
+			t.Errorf("k=%d, %d episodes: frame digest %d, want %d", tc.k, tc.episodes, rep.FrameDigest, tc.digest)
+		}
+		got := [4]int64{rep.Frames, rep.Standard, rep.Zigzag, rep.Capture}
+		if want := [4]int64{tc.frames, tc.standard, tc.zigzag, tc.capture}; got != want {
+			t.Errorf("k=%d, %d episodes: frames/standard/zigzag/capture %v, want %v", tc.k, tc.episodes, got, want)
+		}
+	}
+}
+
 // TestEngineChunkInvariance pins that the engine's report is a pure
 // function of the stream, not of how the source slices it.
 func TestEngineChunkInvariance(t *testing.T) {
