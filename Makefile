@@ -36,9 +36,9 @@
 #                     legs (test-race, test-race-obs, test-race-kern)
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, lint, `make fuzz-smoke`,
-# `make test-purego` and the zzbench module's unit tests as separate
-# jobs. Cost is measured by the zzbench module (`bash zzbench/run.sh`)
+# and `make test-short` on two Go versions, `make test` (the only job
+# without -short) on one, lint, `make fuzz-smoke`, `make test-purego`
+# and the zzbench module's unit tests as separate jobs. Cost is measured by the zzbench module (`bash zzbench/run.sh`)
 # and the bench-* micro-benchmarks above; identity checks live in the
 # blocking tests.
 # The experiment suites fan Monte-Carlo trials out across all cores via

@@ -5,11 +5,9 @@
 //
 //	zigzag-bench [-exp all|fig4-2|fig4-4|lemma4-4-1|fig4-7a|fig4-7b|
 //	              table5-1|fig5-2a|fig5-2b|fig5-3|fig5-4|fig5-5|fig5-9|
-//	              harsh|kway|campaign]
+//	              harsh|kway]
 //	             [-scale quick|full] [-seed N] [-workers N] [-k N]
-//	             [-no-obs]
 //	             [-shards N -shard i [-shard-out FILE]] [-merge F1,F2,...]
-//	             [-checkpoint FILE [-checkpoint-every N] [-stop-after-blocks N]]
 //
 // -workers sizes the worker pool that Monte-Carlo trials fan out across
 // (0 = all cores); per-trial seed derivation keeps every figure
@@ -26,21 +24,11 @@
 // "kway" is the collision-order sweep: joint-decode BER at k = 2, 3, 4
 // on the static channel and under mild fading.
 //
-// "campaign" is the city-scale engine (internal/campaign): overlapping
-// BSSes with churned station placement, k-way collision episodes
-// jointly decoded on pooled sessions, folded through streaming
-// mergeable accumulators (O(workers) memory). -checkpoint persists and
-// resumes shard state mid-run.
-//
-// The counting sweeps (fig5-3, harsh, kway) and the campaign shard:
-// -shards N -shard i runs one contiguous slice of the trial space and
-// writes a mergeable JSON partial; -merge folds partials and renders
-// stdout byte-identical to the unsharded run, at any shard split and
-// worker count.
-//
-// The one runtime switch, -no-obs, comes from the internal/hatch
-// registry; ZIGZAG_NO_OBS sets it too, and an absent flag never
-// overrides the environment.
+// The counting sweeps (fig5-3, harsh, kway) shard: -shards N -shard i
+// runs one contiguous slice of the trial space and writes a mergeable
+// JSON partial; -merge folds partials and renders stdout
+// byte-identical to the unsharded run, at any shard split and worker
+// count.
 //
 // Every output block is labelled with the paper artifact it reproduces.
 package main
@@ -52,7 +40,6 @@ import (
 	"strings"
 
 	"zigzag/internal/experiments"
-	"zigzag/internal/hatch"
 	"zigzag/internal/metrics"
 )
 
@@ -62,16 +49,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "root RNG seed")
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = all cores)")
 	kOrder := flag.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
-	shards := flag.Int("shards", 1, "split the experiment's trial space into N shards (fig5-3, harsh, kway, campaign)")
+	shards := flag.Int("shards", 1, "split the experiment's trial space into N shards (fig5-3, harsh, kway)")
 	shard := flag.Int("shard", 0, "with -shards: which shard THIS process runs (0-based)")
 	shardOut := flag.String("shard-out", "", "with -shards: write the mergeable shard partial JSON here (default stdout)")
 	mergeList := flag.String("merge", "", "comma-separated shard partial files to merge and render (replaces running)")
-	checkpoint := flag.String("checkpoint", "", "campaign only: checkpoint file; written during the run and resumed from when it exists")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "write the checkpoint every n-th completed block (0 = every block)")
-	stopAfterBlocks := flag.Int("stop-after-blocks", 0, "campaign only: stop scheduling new blocks after n complete (deterministic interruption for resume demos)")
-	applyHatches := hatch.Bind(flag.CommandLine)
 	flag.Parse()
-	applyHatches()
 	if *kOrder < 2 || *kOrder > 4 {
 		fmt.Fprintln(os.Stderr, "-k must be 2, 3 or 4")
 		os.Exit(2)
@@ -87,8 +69,7 @@ func main() {
 	sc.Workers = *workers
 
 	if *shards > 1 {
-		os.Exit(runShard(*exp, *scaleName, sc, *seed, *kOrder, *shards, *shard,
-			*shardOut, *checkpoint, *checkpointEvery, *stopAfterBlocks))
+		os.Exit(runShard(*exp, *scaleName, sc, *seed, *kOrder, *shards, *shard, *shardOut))
 	}
 
 	runners := []struct {
@@ -109,9 +90,6 @@ func main() {
 		{"fig5-9", func() { fig59(sc, *seed) }},
 		{"harsh", func() { harsh(sc, *seed, *kOrder) }},
 		{"kway", func() { kway(sc, *seed) }},
-		{"campaign", func() {
-			runCampaign(*scaleName, *seed, *workers, *kOrder, *checkpoint, *checkpointEvery, *stopAfterBlocks)
-		}},
 	}
 	ran := false
 	for _, r := range runners {

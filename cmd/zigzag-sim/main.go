@@ -9,7 +9,6 @@
 //	           [-doppler 0] [-rician-k 0] [-coherence-block 0]
 //	           [-mp-doppler 0] [-drift 0] [-phase-noise 0]
 //	           [-interf-duty 0] [-interf-amp 1] [-adc-bits 0]
-//	           [-no-obs]
 //
 // -workers sizes the worker pool for the run's parallel sections (the
 // collision-free scheduler's independent slots; 0 = all cores). Results
@@ -22,10 +21,6 @@
 // clipping/quantization. With none set (a zero impair.Profile) the run
 // is the static paper channel, byte-identical to pre-impair builds.
 //
-// The one runtime switch, -no-obs, comes from the internal/hatch
-// registry; ZIGZAG_NO_OBS sets it too, and an absent flag never
-// overrides the environment.
-//
 // With -senders 3 or 4 the stations are mutually hidden (-senders 3 is
 // the Fig 5-9 scenario); collisions of that order resolve through the
 // generalized k-way SIC framework (§7). -k is an alias for -senders —
@@ -37,7 +32,6 @@ import (
 	"fmt"
 	"os"
 
-	"zigzag/internal/hatch"
 	"zigzag/internal/impair"
 	"zigzag/internal/testbed"
 )
@@ -62,9 +56,7 @@ func main() {
 	interfDuty := flag.Float64("interf-duty", 0, "bursty narrowband interferer duty cycle in (0,1) (0 = off)")
 	interfAmp := flag.Float64("interf-amp", 1, "interferer tone amplitude (0 silences the interferer)")
 	adcBits := flag.Int("adc-bits", 0, "ADC bits per rail for front-end clipping/quantization (0 = off)")
-	applyHatches := hatch.Bind(flag.CommandLine)
 	flag.Parse()
-	applyHatches()
 	if *kOrder != 0 {
 		*senders = *kOrder
 	}

@@ -22,8 +22,8 @@ func mergeParts(t *testing.T, shards int, f func(sh Shard) []CountSeries) []Coun
 	return merged
 }
 
-// TestFig53ShardInvariant is the experiments half of the campaign
-// acceptance pin: splitting the fig5-3 sweep into 2 or 7 shards and
+// TestFig53ShardInvariant is the experiments half of the shard/merge
+// identity: splitting the fig5-3 sweep into 2 or 7 shards and
 // merging the tallies is byte-identical to the unsharded run, at more
 // than one worker count, and renders to the exact Fig53BERvsSNR
 // figure. With microDet's 2 pairs per point a 7-way split also leaves

@@ -7,8 +7,9 @@
 // form (SSE2 assembly on amd64 without the purego tag, Go elsewhere).
 // A hatch has exactly one flag name, one ZIGZAG_* environment variable
 // (derived from the flag name, so the two can never drift), and one
-// setter/getter pair in the package that owns the path. The CLIs wire
-// every hatch with a single Bind call.
+// setter/getter pair in the package that owns the path. zigzag-serve,
+// the only CLI whose code reads a hatch, wires every hatch with a
+// single Bind call.
 //
 // Precedence discipline: the environment variable is read once at
 // process init by the owning package, and any value other than "" or

@@ -16,11 +16,10 @@ const MaxAcceptableBER = 1e-3
 
 // Sample accumulates scalar observations.
 //
-// Sample is the legacy O(trials) accumulator: it materializes every
-// observation. The streaming campaign stack (Counter, Moments,
-// QuantileSketch in stream.go) replaces it where memory must stay
-// O(workers); Sample remains the exact-order-statistics path the
-// testbed CDF figures are built from.
+// Sample is the O(observations) accumulator: it materializes every
+// observation, and is the exact-order-statistics path the testbed CDF
+// figures are built from. QuantileSketch (stream.go) answers the same
+// queries within a relative accuracy in bounded memory.
 type Sample struct {
 	xs []float64
 

@@ -1,21 +1,19 @@
-// Streaming, mergeable accumulators for the campaign engine.
+// Streaming, mergeable accumulators: ExactSum and QuantileSketch.
 //
-// The Monte-Carlo stack historically materialized every trial result
-// (metrics.Sample is O(trials)); city-scale campaigns instead fold each
-// trial into one of the accumulators here and merge partial
-// accumulators across blocks, workers, shards and processes. The whole
-// determinism story rests on one contract:
+// Sample keeps every observation. The accumulators here fold each
+// observation in as it arrives, in memory that does not grow with the
+// count, and merge partial accumulators exactly. The serve engine's
+// latency report and the observability registry's histograms are
+// sketches. The contract both types keep:
 //
 //	Merge is EXACTLY associative and commutative, bit for bit.
 //
-// Counter and the sketch bucket counts are integers, whose addition is
-// exact. Floating-point totals go through ExactSum, which maintains the
-// exact real-valued sum as a non-overlapping float64 expansion
+// Sketch bucket counts are integers, whose addition is exact.
+// Floating-point totals go through ExactSum, which maintains the exact
+// real-valued sum as a non-overlapping float64 expansion
 // (Shewchuk/Hettinger, the algorithm behind Python's math.fsum) and
 // rounds only on read — so the rounded Sum depends only on the set of
 // added values, never on the order or grouping of Adds and Merges.
-// That is what lets any shard split × any worker count reproduce the
-// unsharded run byte-identically, which the merge-identity suites pin.
 package metrics
 
 import (
@@ -24,18 +22,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Counter is an exactly mergeable event counter.
-type Counter int64
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { *c += Counter(n) }
-
-// Merge folds another counter in (exact: integer addition).
-func (c *Counter) Merge(o Counter) { *c += o }
-
-// Value returns the count.
-func (c Counter) Value() int64 { return int64(c) }
 
 // ExactSum accumulates float64 values with an exact running sum,
 // represented as a non-overlapping expansion of partials. Adding and
@@ -134,11 +120,6 @@ func (s *ExactSum) Sum() float64 {
 	return hi
 }
 
-// Partials exposes the expansion for serialization (checkpoint/shard
-// files). Re-adding them into an empty ExactSum reproduces the exact
-// value.
-func (s *ExactSum) Partials() []float64 { return s.parts }
-
 // Clone returns an independent copy of the exact sum.
 func (s *ExactSum) Clone() ExactSum {
 	out := ExactSum{special: s.special, hasSpec: s.hasSpec}
@@ -148,7 +129,7 @@ func (s *ExactSum) Clone() ExactSum {
 	return out
 }
 
-// exactSumJSON is the checkpoint wire form of an ExactSum.
+// exactSumJSON is the wire form of an ExactSum.
 type exactSumJSON struct {
 	Parts   []float64 `json:"parts,omitempty"`
 	Special float64   `json:"special,omitempty"`
@@ -160,80 +141,9 @@ func (s ExactSum) MarshalJSON() ([]byte, error) {
 	return json.Marshal(exactSumJSON{Parts: s.parts, Special: s.special, HasSpec: s.hasSpec})
 }
 
-// UnmarshalJSON restores an expansion serialized by MarshalJSON.
-func (s *ExactSum) UnmarshalJSON(data []byte) error {
-	var w exactSumJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*s = ExactSum{}
-	for _, p := range w.Parts {
-		s.Add(p)
-	}
-	if w.HasSpec {
-		s.special = w.Special
-		s.hasSpec = true
-	}
-	return nil
-}
-
-// Moments is a streaming, exactly mergeable moment accumulator: count,
-// exact sum, and exact sum of squares. Mean and Variance round once on
-// read, so they are invariant to the order and grouping of Add/Merge.
-// The zero value is empty.
-type Moments struct {
-	Count Counter
-	Sum   ExactSum
-	SumSq ExactSum
-}
-
-// Add folds one observation in.
-func (m *Moments) Add(v float64) {
-	m.Count.Add(1)
-	m.Sum.Add(v)
-	m.SumSq.Add(v * v)
-}
-
-// Merge folds another accumulator in (exact).
-func (m *Moments) Merge(o *Moments) {
-	m.Count.Merge(o.Count)
-	m.Sum.Merge(&o.Sum)
-	m.SumSq.Merge(&o.SumSq)
-}
-
-// N returns the observation count.
-func (m *Moments) N() int { return int(m.Count) }
-
-// Mean returns the average, or NaN when empty (Sample.Mean's shape).
-func (m *Moments) Mean() float64 {
-	if m.Count == 0 {
-		return math.NaN()
-	}
-	return m.Sum.Sum() / float64(m.Count)
-}
-
-// Variance returns the population variance, or NaN when empty. Computed
-// from the exactly accumulated first two moments; clamped at 0 against
-// cancellation in the final (single) rounding step.
-func (m *Moments) Variance() float64 {
-	if m.Count == 0 {
-		return math.NaN()
-	}
-	n := float64(m.Count)
-	mean := m.Sum.Sum() / n
-	v := m.SumSq.Sum()/n - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// Std returns the population standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// DefaultSketchAccuracy is the relative accuracy of campaign quantile
-// sketches: a reported quantile x̂ satisfies |x̂−x| ≤ accuracy·|x| for
-// the true quantile x (DDSketch's guarantee).
+// DefaultSketchAccuracy is the relative accuracy of the registry's
+// histogram sketches: a reported quantile x̂ satisfies
+// |x̂−x| ≤ accuracy·|x| for the true quantile x (DDSketch's guarantee).
 const DefaultSketchAccuracy = 0.01
 
 // QuantileSketch is a deterministic, exactly mergeable quantile sketch:
@@ -496,8 +406,8 @@ type bucketJSON struct {
 	C uint64 `json:"c"`
 }
 
-// sketchJSON is the checkpoint wire form of a QuantileSketch. Buckets
-// are sorted by key so the encoding of a given sketch state is unique.
+// sketchJSON is the wire form of a QuantileSketch. Buckets are sorted
+// by key so the encoding of a given sketch state is unique.
 type sketchJSON struct {
 	Accuracy float64      `json:"accuracy"`
 	Pos      []bucketJSON `json:"pos,omitempty"`
@@ -520,9 +430,10 @@ func bucketsJSON(m map[int32]uint64) []bucketJSON {
 	return out
 }
 
-// MarshalJSON serializes the sketch state losslessly (for shard partial
-// files and checkpoints). Infinite empty-state min/max are mapped to 0
-// with Count==0 standing in, keeping the encoding valid JSON.
+// MarshalJSON serializes the sketch state losslessly (zigzag-serve
+// -json prints the latency sketch through it). Infinite empty-state
+// min/max are mapped to 0 with Count==0 standing in, keeping the
+// encoding valid JSON.
 func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
 	w := sketchJSON{
 		Accuracy: s.accuracy,
@@ -536,27 +447,4 @@ func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
 		w.Min, w.Max = s.min, s.max
 	}
 	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores a sketch serialized by MarshalJSON.
-func (s *QuantileSketch) UnmarshalJSON(data []byte) error {
-	var w sketchJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	n := NewQuantileSketch(w.Accuracy)
-	for _, b := range w.Pos {
-		n.pos[b.K] = b.C
-	}
-	for _, b := range w.Neg {
-		n.neg[b.K] = b.C
-	}
-	n.zero = w.Zero
-	n.count = w.Count
-	if w.Count > 0 {
-		n.min, n.max = w.Min, w.Max
-	}
-	n.sum = w.Sum
-	*s = *n
-	return nil
 }

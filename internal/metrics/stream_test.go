@@ -29,8 +29,8 @@ func TestExactSumMatchesBigFloat(t *testing.T) {
 	}
 }
 
-// TestExactSumMergeInvariant pins the campaign contract: any grouping
-// of the same values into shards, merged in any order, rounds to the
+// TestExactSumMergeInvariant pins the merge contract: any grouping of
+// the same values into shards, merged in any order, rounds to the
 // identical float64.
 func TestExactSumMergeInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
@@ -60,50 +60,6 @@ func TestExactSumMergeInvariant(t *testing.T) {
 	}
 }
 
-func TestExactSumJSONRoundTrip(t *testing.T) {
-	var s ExactSum
-	for _, v := range []float64{1e300, 1e-300, -1e300, 3.5, 0.1} {
-		s.Add(v)
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ExactSum
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Sum() != s.Sum() {
-		t.Fatalf("round trip changed sum: %v != %v", back.Sum(), s.Sum())
-	}
-}
-
-func TestMomentsMergeInvariant(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	var whole Moments
-	parts := make([]Moments, 7)
-	for i := 0; i < 700; i++ {
-		v := r.NormFloat64()*3 + 1
-		whole.Add(v)
-		parts[i%7].Add(v)
-	}
-	var merged Moments
-	for i := range parts {
-		merged.Merge(&parts[i])
-	}
-	if merged.Mean() != whole.Mean() || merged.Variance() != whole.Variance() || merged.N() != whole.N() {
-		t.Fatalf("merged moments diverged: mean %v/%v var %v/%v n %d/%d",
-			merged.Mean(), whole.Mean(), merged.Variance(), whole.Variance(), merged.N(), whole.N())
-	}
-	if math.Abs(whole.Mean()-1) > 0.5 || math.Abs(whole.Std()-3) > 0.5 {
-		t.Fatalf("moments implausible: mean %v std %v", whole.Mean(), whole.Std())
-	}
-	var empty Moments
-	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Variance()) {
-		t.Fatal("empty moments should be NaN")
-	}
-}
-
 // sketchObservablesEqual compares every output-bearing piece of sketch
 // state: bucket counts, zero count, total, exact min/max and the
 // rounded exact sum. The ExactSum expansion itself is not canonical
@@ -118,10 +74,10 @@ func sketchObservablesEqual(a, b *QuantileSketch) bool {
 		a.accuracy == b.accuracy
 }
 
-// TestSketchMergeShardInvariant is the metrics half of the campaign
-// acceptance pin: splitting a stream into 1, 2 and 7 shards and merging
-// in any order reproduces the unsharded sketch observables exactly
-// (bucket counts included).
+// TestSketchMergeShardInvariant pins the sketch's merge contract:
+// splitting a stream into 1, 2 and 7 shards and merging in any order
+// reproduces the unsharded sketch observables exactly (bucket counts
+// included).
 func TestSketchMergeShardInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	vals := make([]float64, 2000)
@@ -204,6 +160,68 @@ func TestSketchCDFMonotone(t *testing.T) {
 	}
 }
 
+// decodeExactSum rebuilds an ExactSum from its wire form by re-adding
+// the partials, as a reader of MarshalJSON's output would.
+func decodeExactSum(w exactSumJSON) ExactSum {
+	var s ExactSum
+	for _, p := range w.Parts {
+		s.Add(p)
+	}
+	if w.HasSpec {
+		s.special, s.hasSpec = w.Special, true
+	}
+	return s
+}
+
+// decodeSketch rebuilds a QuantileSketch from MarshalJSON's output.
+// The package writes the encoding but does not read it, so the round
+// trip tests decode it here.
+func decodeSketch(t *testing.T, data []byte) *QuantileSketch {
+	t.Helper()
+	var w struct {
+		sketchJSON
+		Sum exactSumJSON `json:"sum"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatal(err)
+	}
+	s := NewQuantileSketch(w.Accuracy)
+	for _, b := range w.Pos {
+		s.pos[b.K] = b.C
+	}
+	for _, b := range w.Neg {
+		s.neg[b.K] = b.C
+	}
+	s.zero, s.count = w.Zero, w.Count
+	if w.Count > 0 {
+		s.min, s.max = w.Min, w.Max
+	}
+	s.sum = decodeExactSum(w.Sum)
+	return s
+}
+
+// TestExactSumJSONRoundTrip pins that MarshalJSON carries the exact
+// value: re-adding the encoded partials rounds to the same sum.
+func TestExactSumJSONRoundTrip(t *testing.T) {
+	var s ExactSum
+	for _, v := range []float64{1e300, 1e-300, -1e300, 3.5, 0.1} {
+		s.Add(v)
+	}
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w exactSumJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatal(err)
+	}
+	if back := decodeExactSum(w); back.Sum() != s.Sum() {
+		t.Fatalf("round trip changed sum: %v != %v", back.Sum(), s.Sum())
+	}
+}
+
+// TestSketchJSONRoundTrip pins that MarshalJSON is lossless: the
+// decoded sketch has the same observables and keeps merging exactly.
 func TestSketchJSONRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sk := NewQuantileSketch(0.02)
@@ -215,20 +233,14 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := new(QuantileSketch)
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
-	}
+	back := decodeSketch(t, data)
 	if !sketchObservablesEqual(back, sk) {
 		t.Fatal("JSON round trip changed sketch state")
 	}
 	// A round-tripped sketch must keep merging exactly: merge two copies
 	// through JSON and compare to the direct merge.
 	data2, _ := json.Marshal(sk)
-	other := new(QuantileSketch)
-	if err := json.Unmarshal(data2, other); err != nil {
-		t.Fatal(err)
-	}
+	other := decodeSketch(t, data2)
 	direct := NewQuantileSketch(0.02)
 	direct.Merge(sk)
 	direct.Merge(sk)
@@ -237,6 +249,32 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	viaJSON.Merge(other)
 	if !sketchObservablesEqual(direct, viaJSON) {
 		t.Fatal("merging via JSON round trip diverged from direct merge")
+	}
+}
+
+// TestSketchMarshalJSONBytes pins the exact encoding zigzag-serve -json
+// prints as latency_ns: sorted buckets of both signs, the zero count,
+// exact min/max and the ExactSum expansion, and an empty sketch's
+// finite min/max.
+func TestSketchMarshalJSONBytes(t *testing.T) {
+	sk := NewQuantileSketch(0.01)
+	for _, v := range []float64{1500, 1500, 2.5e6, 0.1, 0, -3} {
+		sk.Add(v)
+	}
+	for _, tc := range []struct {
+		sk   *QuantileSketch
+		want string
+	}{
+		{sk, `{"accuracy":0.01,"pos":[{"k":-115,"c":1},{"k":366,"c":2},{"k":737,"c":1}],"neg":[{"k":55,"c":1}],"zero":1,"count":6,"min":-3,"max":2500000,"sum":{"parts":[-8.326672684688674e-17,-9.313216864370588e-11,2502997.1]}}`},
+		{NewQuantileSketch(0), `{"accuracy":0.01,"count":0,"min":0,"max":0,"sum":{}}`},
+	} {
+		data, err := json.Marshal(tc.sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != tc.want {
+			t.Errorf("MarshalJSON = %s\nwant          %s", data, tc.want)
+		}
 	}
 }
 
@@ -250,16 +288,6 @@ func TestSketchEmptyAndZeroes(t *testing.T) {
 	}
 	if sk.Quantile(0.5) != 0 || sk.Min() != 0 || sk.Max() != 0 {
 		t.Fatal("all-zero sketch quantiles should be 0")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var a, b Counter
-	a.Add(3)
-	b.Add(4)
-	a.Merge(b)
-	if a.Value() != 7 {
-		t.Fatalf("counter = %d", a.Value())
 	}
 }
 

@@ -18,10 +18,11 @@
 // reader so a live HTTP scrape never stalls the single-goroutine
 // receiver; the Ring drops oldest events (counted) rather than block.
 //
-// Setting ZIGZAG_NO_OBS to any value other than "" or "0" (or the
-// -no-obs flag via internal/hatch) detaches the layer at its
-// attachment points: engines skip registry wiring and sink attachment
-// entirely, restoring the uninstrumented configuration for bisection.
+// Setting ZIGZAG_NO_OBS to any value other than "" or "0" (or
+// zigzag-serve's -no-obs flag via internal/hatch) detaches the layer
+// at its attachment points: engines skip registry wiring and sink
+// attachment entirely, restoring the uninstrumented configuration for
+// bisection.
 package obs
 
 import (
@@ -30,8 +31,8 @@ import (
 	"sync/atomic"
 )
 
-// disabled gates the observability layer's attachment points (serve
-// engine, campaign counters, CLI listeners). The instrumented code
+// disabled gates the observability layer's attachment points (the
+// serve engine and zigzag-serve's listener). The instrumented code
 // itself is always nil-guarded; this hatch keeps even the guards' sinks
 // from being attached.
 var disabled atomic.Bool
@@ -42,8 +43,8 @@ func init() { disabled.Store(envOn(os.Getenv("ZIGZAG_NO_OBS"))) }
 // "0" is on.
 func envOn(v string) bool { return v != "" && v != "0" }
 
-// SetDisabled pins (or unpins) the no-obs escape hatch. The CLIs expose
-// it as -no-obs; ZIGZAG_NO_OBS sets it at startup.
+// SetDisabled pins (or unpins) the no-obs escape hatch. zigzag-serve
+// exposes it as -no-obs; ZIGZAG_NO_OBS sets it at startup.
 func SetDisabled(v bool) { disabled.Store(v) }
 
 // Disabled reports whether the observability layer is detached.

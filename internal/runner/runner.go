@@ -36,11 +36,6 @@ type Options struct {
 	// BaseSeed is the root seed; trial i receives an rng seeded with
 	// TrialSeed(BaseSeed, i).
 	BaseSeed int64
-
-	// OnProgress, when non-nil, is called after every completed trial
-	// with the number of finished trials and the total. Calls are
-	// serialized and the done count is non-decreasing.
-	OnProgress func(done, total int)
 }
 
 func (o Options) workers() int {
@@ -182,7 +177,6 @@ func MapLocal[S, T any](ctx context.Context, trials int, opts Options, acquire f
 
 	var (
 		mu       sync.Mutex
-		done     int
 		firstErr error
 	)
 	fail := func(err error) {
@@ -206,12 +200,6 @@ func MapLocal[S, T any](ctx context.Context, trials int, opts Options, acquire f
 			return
 		}
 		out[i] = v
-		mu.Lock()
-		done++
-		if opts.OnProgress != nil {
-			opts.OnProgress(done, trials)
-		}
-		mu.Unlock()
 	}
 
 	jobs := make(chan int)

@@ -188,29 +188,6 @@ func TestMapPreCancelledContext(t *testing.T) {
 	}
 }
 
-func TestMapProgressMonotoneAndComplete(t *testing.T) {
-	var calls []int
-	_, err := Map(context.Background(), 40, Options{Workers: 8, OnProgress: func(done, total int) {
-		if total != 40 {
-			t.Errorf("total = %d", total)
-		}
-		calls = append(calls, done)
-	}}, func(_ context.Context, trial int, _ *rand.Rand) (int, error) {
-		return trial, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 40 {
-		t.Fatalf("progress called %d times", len(calls))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress out of order at %d: %v", i, d)
-		}
-	}
-}
-
 func TestBatches(t *testing.T) {
 	bs := Batches(10, 4)
 	want := []Batch{{0, 4}, {4, 8}, {8, 10}}

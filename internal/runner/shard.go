@@ -20,13 +20,13 @@ import (
 // shard-relative one, so trial i runs the identical random stream
 // whether it executes in shard 0 of 1, shard 3 of 7, or any worker
 // count. That, plus the accumulator contract below, is what lets a
-// campaign split across processes and merge byte-identically.
+// counting sweep split across processes and merge byte-identically.
 //
 // Accumulator contract: the caller's Merge must be EXACTLY associative
-// and commutative (integer tallies, metrics.Counter/ExactSum/
-// QuantileSketch, min/max — not naive float sums), because block
-// completion order depends on scheduling. The merge-identity suites in
-// campaign and experiments pin the contract end to end.
+// and commutative (integer tallies, metrics.ExactSum/QuantileSketch,
+// min/max — not naive float sums), because block completion order
+// depends on scheduling. The shard-invariance suites in runner,
+// session and experiments pin the contract end to end.
 
 // ShardRange returns shard index's contiguous range of the global
 // trial space [0, trials): [trials·i/n, trials·(i+1)/n). The ranges of
@@ -39,9 +39,8 @@ func ShardRange(trials, shards, index int) Batch {
 }
 
 // DefaultBlockSize is the per-block trial count Reduce uses when the
-// spec leaves BlockSize zero: coarse enough that per-block merge/
-// checkpoint overhead amortizes, fine enough that checkpoints land
-// frequently and load balances across workers.
+// spec leaves BlockSize zero: coarse enough that the per-block merge
+// amortizes, fine enough that load balances across workers.
 const DefaultBlockSize = 32
 
 // ReduceSpec configures one streaming reduction over a shard.
@@ -49,13 +48,13 @@ type ReduceSpec[S, A any] struct {
 	// Shard is the global trial index range to run (ShardRange output;
 	// Batch{0, trials} for an unsharded run).
 	Shard Batch
-	// BlockSize is the trials-per-block granularity of scheduling,
-	// checkpointing and resume (0 = DefaultBlockSize). Blocks are
-	// shard-relative: block b covers global trials
+	// BlockSize is the trials-per-block granularity of scheduling and
+	// merging (0 = DefaultBlockSize). Blocks are shard-relative: block
+	// b covers global trials
 	// [Shard.Lo+b·BlockSize, min(Shard.Lo+(b+1)·BlockSize, Shard.Hi)).
 	BlockSize int
-	// Opts carries Workers, BaseSeed and OnProgress. Seeds derive from
-	// the GLOBAL trial index.
+	// Opts carries Workers and BaseSeed. Seeds derive from the GLOBAL
+	// trial index.
 	Opts Options
 
 	// Acquire/Release bracket worker-local state exactly as in MapLocal
@@ -64,7 +63,7 @@ type ReduceSpec[S, A any] struct {
 	Release func(S)
 
 	// NewAcc returns a fresh empty accumulator (per block, and the
-	// shard's initial accumulator when Init is nil).
+	// shard's initial accumulator).
 	NewAcc func() A
 	// Fold folds one trial into acc and returns it. rng is the trial's
 	// deterministic stream (NewRand(BaseSeed, globalTrial)).
@@ -72,33 +71,11 @@ type ReduceSpec[S, A any] struct {
 	// Merge combines two accumulators. It MUST be exactly associative
 	// and commutative; it may mutate and return dst.
 	Merge func(dst, src A) A
-
-	// Done, when non-nil, marks blocks already completed by a previous
-	// (checkpointed) run; they are skipped. len(Done) must equal
-	// NumBlocks. Init must then supply the accumulator holding exactly
-	// those blocks' contributions.
-	Done []bool
-	// Init, when non-nil, supplies the initial shard accumulator
-	// (checkpoint restore). Nil means NewAcc().
-	Init func() A
-	// OnBlock, when non-nil, is called after each block's accumulator
-	// merges into the shard accumulator, with the block index, the done
-	// flags (aliasing internal state — copy to retain) and the current
-	// shard accumulator. Calls are serialized; this is the checkpoint
-	// hook, so the callback may serialize acc but must not retain it.
-	OnBlock func(block int, done []bool, acc A)
-	// Stop, when non-nil, is polled before each block; once it returns
-	// true no new block starts (in-flight blocks finish and are
-	// recorded). It runs on the caller's goroutine concurrently with
-	// OnBlock, so state shared between the two must be synchronized. The returned accumulator then covers only the completed
-	// blocks — paired with Done/Init via OnBlock checkpoints this gives
-	// deterministic interruption, which the resume tests exploit.
-	Stop func() bool
 }
 
-// NumBlocks returns the number of scheduling blocks in the spec's
+// numBlocks returns the number of scheduling blocks in the spec's
 // shard.
-func (spec *ReduceSpec[S, A]) NumBlocks() int {
+func (spec *ReduceSpec[S, A]) numBlocks() int {
 	bs := spec.BlockSize
 	if bs <= 0 {
 		bs = DefaultBlockSize
@@ -120,27 +97,9 @@ func Reduce[S, A any](spec ReduceSpec[S, A]) A {
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}
-	nblocks := spec.NumBlocks()
+	nblocks := spec.numBlocks()
 
-	var acc A
-	if spec.Init != nil {
-		acc = spec.Init()
-	} else {
-		acc = spec.NewAcc()
-	}
-	done := make([]bool, nblocks)
-	doneTrials := 0
-	if spec.Done != nil {
-		if len(spec.Done) != nblocks {
-			panic("runner: ReduceSpec.Done length does not match NumBlocks")
-		}
-		copy(done, spec.Done)
-		for b, d := range done {
-			if d {
-				doneTrials += spec.blockRange(b, bs).len()
-			}
-		}
-	}
+	acc := spec.NewAcc()
 	if nblocks == 0 {
 		return acc
 	}
@@ -149,7 +108,6 @@ func Reduce[S, A any](spec ReduceSpec[S, A]) A {
 	if workers > nblocks {
 		workers = nblocks
 	}
-	totalTrials := spec.Shard.Hi - spec.Shard.Lo
 
 	var (
 		mu       sync.Mutex
@@ -178,14 +136,6 @@ func Reduce[S, A any](spec ReduceSpec[S, A]) A {
 		mu.Lock()
 		defer mu.Unlock()
 		acc = spec.Merge(acc, blockAcc)
-		done[b] = true
-		doneTrials += r.len()
-		if spec.OnBlock != nil {
-			spec.OnBlock(b, done, acc)
-		}
-		if spec.Opts.OnProgress != nil {
-			spec.Opts.OnProgress(doneTrials, totalTrials)
-		}
 	}
 
 	jobs := make(chan int)
@@ -208,12 +158,6 @@ func Reduce[S, A any](spec ReduceSpec[S, A]) A {
 	}
 feed:
 	for b := 0; b < nblocks; b++ {
-		if done[b] {
-			continue
-		}
-		if spec.Stop != nil && spec.Stop() {
-			break
-		}
 		select {
 		case jobs <- b:
 		case <-quit:
@@ -238,6 +182,3 @@ func (spec *ReduceSpec[S, A]) blockRange(b, bs int) Batch {
 	}
 	return Batch{Lo: lo, Hi: hi}
 }
-
-// len returns the number of trials in the batch.
-func (b Batch) len() int { return b.Hi - b.Lo }

@@ -68,9 +68,9 @@ func serialTally(trials int) trialTally {
 	return acc
 }
 
-// TestReduceShardWorkerInvariant is the runner half of the campaign
-// acceptance pin: 1, 2 and 7 shards at workers 1, 2 and NumCPU all
-// merge to the serial reference exactly.
+// TestReduceShardWorkerInvariant is the runner half of the shard/merge
+// identity: 1, 2 and 7 shards at workers 1, 2 and NumCPU all merge to
+// the serial reference exactly.
 func TestReduceShardWorkerInvariant(t *testing.T) {
 	const trials = 613 // awkward: not a multiple of any block size swept
 	want := serialTally(trials)
@@ -92,71 +92,6 @@ func TestReduceShardWorkerInvariant(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestReduceResume pins checkpoint/resume: a run stopped after a few
-// blocks, resumed from its Done flags and partial accumulator, equals
-// the uninterrupted run.
-func TestReduceResume(t *testing.T) {
-	const trials = 200
-	want := serialTally(trials)
-
-	// First leg: stop after 3 completed blocks, capturing the checkpoint
-	// the way campaign does — done flags copy + accumulator snapshot
-	// under OnBlock.
-	var (
-		ckptDone []bool
-		ckptAcc  trialTally
-		blocks   atomic.Int32
-	)
-	spec := tallySpec(trials, Batch{Lo: 0, Hi: trials}, 2, 16)
-	spec.OnBlock = func(_ int, done []bool, acc *trialTally) {
-		blocks.Add(1)
-		ckptDone = append(ckptDone[:0], done...)
-		ckptAcc = *acc
-	}
-	spec.Stop = func() bool { return blocks.Load() >= 3 }
-	Reduce(spec)
-	if n := count(ckptDone); n < 3 || n >= spec.NumBlocks() {
-		t.Fatalf("interrupted leg completed %d blocks of %d; want a strict middle", n, spec.NumBlocks())
-	}
-
-	// Second leg: resume from the checkpoint.
-	resume := tallySpec(trials, Batch{Lo: 0, Hi: trials}, 2, 16)
-	resume.Done = ckptDone
-	resume.Init = func() *trialTally { a := ckptAcc; return &a }
-	got := Reduce(resume)
-	if *got != want {
-		t.Fatalf("resumed run %+v != uninterrupted %+v", *got, want)
-	}
-}
-
-func count(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// TestReduceProgress pins the OnProgress plumbing: non-decreasing done
-// counts ending at the shard's trial total, including resumed trials.
-func TestReduceProgress(t *testing.T) {
-	const trials = 100
-	last := 0
-	spec := tallySpec(trials, Batch{Lo: 0, Hi: trials}, 2, 8)
-	spec.Opts.OnProgress = func(done, total int) {
-		if total != trials || done < last {
-			t.Errorf("progress went backwards: %d after %d (total %d)", done, last, total)
-		}
-		last = done
-	}
-	Reduce(spec)
-	if last != trials {
-		t.Fatalf("final progress %d, want %d", last, trials)
 	}
 }
 
@@ -196,7 +131,7 @@ func TestReduceEmptyShard(t *testing.T) {
 	// A shard of a 10-trial space that holds no trials (12-way split of
 	// 10 trials leaves some shards empty; shard 0 is one of them).
 	b := ShardRange(10, 12, 0)
-	if b.len() != 0 {
+	if b.Hi != b.Lo {
 		t.Fatalf("expected empty tail shard, got %+v", b)
 	}
 	got = Reduce(tallySpec(10, b, 4, 8))

@@ -87,8 +87,8 @@ func (c *SynthConfig) fillDefaults() {
 // different offsets (the §5.1d retransmission workflow — the receiver
 // must store the early collisions and resolve the set by the K-th),
 // with exact-zero idle air between receptions. Episode randomness
-// follows the campaign engine's TrialSeed discipline, so the stream is
-// a pure function of the config.
+// follows the runner's TrialSeed discipline, so the stream is a pure
+// function of the config.
 type Synthetic struct {
 	cfg     SynthConfig
 	sess    *session.Session
@@ -225,9 +225,10 @@ func (g *Synthetic) renderEpisode() {
 	}
 
 	// k receptions of the same k packets at per-reception offsets: the
-	// first sender anchors at 40, the others land at distinct random
-	// offsets per reception (§4.2.2 needs every pairwise offset to
-	// change between collisions).
+	// first sender anchors at 40, and every other sender's offset is an
+	// independent draw from [190, 890) per reception. Draws can
+	// coincide, so two receptions may repeat a pairwise offset; that
+	// pair then gives §4.2.2 no new equation.
 	if len(g.zeros) < g.cfg.Gap {
 		g.zeros = make([]complex128, g.cfg.Gap)
 	}

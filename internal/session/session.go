@@ -269,8 +269,8 @@ func Release(s *Session) { defaultPool.Release(s) }
 // runner.MustMap: same seeding discipline, same trial-order results,
 // byte-identical output at any worker count.
 //
-// MapTrials materializes one result per trial — O(trials) memory. The
-// campaign stack's streaming counterpart is ReduceTrials/ReduceShard.
+// MapTrials materializes one result per trial — O(trials) memory. Its
+// streaming counterpart is ReduceShard.
 func MapTrials[T any](cfg core.Config, trials, workers int, baseSeed int64, fn func(s *Session, trial int) T) []T {
 	return MapShard(cfg, runner.Batch{Lo: 0, Hi: trials}, workers, baseSeed, fn)
 }
@@ -300,20 +300,14 @@ func MapShard[T any](cfg core.Config, sh runner.Batch, workers int, baseSeed int
 		})
 }
 
-// ReduceTrials streams trials through pooled per-worker sessions into a
+// ReduceShard streams a contiguous range of the global trial space
+// (runner.ShardRange output) through pooled per-worker sessions into a
 // mergeable accumulator: the session-engine counterpart of
 // runner.Reduce, and the memory-bounded replacement for
-// MapTrials-plus-serial-fold. Merge must be exactly associative and
+// MapShard-plus-serial-fold. Merge must be exactly associative and
 // commutative (see runner.ReduceSpec); resident memory is O(workers).
-func ReduceTrials[A any](cfg core.Config, trials, workers int, baseSeed int64,
-	newAcc func() A, fold func(s *Session, acc A, trial int) A, merge func(dst, src A) A) A {
-	return ReduceShard(cfg, runner.Batch{Lo: 0, Hi: trials}, workers, baseSeed, newAcc, fold, merge)
-}
-
-// ReduceShard is ReduceTrials over a contiguous range of the global
-// trial space (runner.ShardRange output). Per-trial seeds derive from
-// the global index, so any shard split × any worker count merges
-// byte-identically with the unsharded run.
+// Per-trial seeds derive from the global index, so any shard split ×
+// any worker count merges byte-identically with the unsharded run.
 func ReduceShard[A any](cfg core.Config, sh runner.Batch, workers int, baseSeed int64,
 	newAcc func() A, fold func(s *Session, acc A, trial int) A, merge func(dst, src A) A) A {
 	return runner.Reduce(runner.ReduceSpec[*Session, A]{

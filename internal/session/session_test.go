@@ -259,7 +259,7 @@ func TestMapTrialsMatchesSerialAndWorkers(t *testing.T) {
 // the materializing reference: folding trial outcomes through
 // ReduceShard over 1, 2 and 7 shards at several worker counts must
 // reproduce the MapTrials fold exactly — the session half of the
-// campaign engine's shard-split byte-identity guarantee. MapShard's
+// counting sweeps' shard-split byte-identity guarantee. MapShard's
 // global-index seeding is pinned by the same comparison.
 func TestReduceShardMatchesMapTrials(t *testing.T) {
 	cfg := core.DefaultConfig()
