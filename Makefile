@@ -23,12 +23,15 @@
 #                      and the per-layer detect (two clients, one-shot
 #                      vs shared transform) and store-match costs
 #   make bench-decode — decode hot-path benchmarks: polyphase re-encode
-#                     and decode, the ISI fit and equalizer training
+#                     and decode, the ISI fit and equalizer training,
+#                     and whole joint decodes (a single-reception
+#                     collision and a collision pair)
 #   make bench-impair — impairment-engine benchmarks: per-model costs
 #                      plus static-vs-impaired Air.MixInto
 #   make bench-kern — DSP kernel-layer benchmarks: the kern package's
-#                     kernel microbenchmarks plus the impair per-model
-#                     and FullChain rows they accelerate
+#                     kernel microbenchmarks (MulTone on the Go loop and
+#                     the build's kernel among them) plus the impair
+#                     per-model and FullChain rows they accelerate
 #   make bench-kern-v3 — bench-kern rebuilt with GOAMD64=v3 (AVX/FMA
 #                     baseline), for comparing instruction-set levels;
 #                     record the level next to any number you commit
@@ -120,6 +123,7 @@ bench-correlate: build
 
 bench-decode: build
 	$(GO) test -bench='BenchmarkBuildImage|BenchmarkTrackAndSubtract|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift|BenchmarkFitISI|BenchmarkTrainEqualizer' -benchmem -run='^$$' ./internal/phy
+	$(GO) test -bench='BenchmarkDecodeSingleCollision|BenchmarkDecodePair' -benchmem -run='^$$' ./internal/core
 
 bench-impair: build
 	$(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair

@@ -43,23 +43,37 @@ import (
 	"zigzag/internal/metrics"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (see -h)")
-	scaleName := flag.String("scale", "quick", "quick|full")
-	seed := flag.Int64("seed", 1, "root RNG seed")
-	workers := flag.Int("workers", 0, "trial worker pool size (0 = all cores)")
-	kOrder := flag.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
-	shards := flag.Int("shards", 1, "split the experiment's trial space into N shards (fig5-3, harsh, kway)")
-	shard := flag.Int("shard", 0, "with -shards: which shard THIS process runs (0-based)")
-	shardOut := flag.String("shard-out", "", "with -shards: write the mergeable shard partial JSON here (default stdout)")
-	mergeList := flag.String("merge", "", "comma-separated shard partial files to merge and render (replaces running)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes the command line args and returns the exit code: 2 for
+// bad flags.
+func run(args []string) int {
+	fs := flag.NewFlagSet("zigzag-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run (see -h)")
+	scaleName := fs.String("scale", "quick", "quick|full")
+	seed := fs.Int64("seed", 1, "root RNG seed")
+	workers := fs.Int("workers", 0, "trial worker pool size (0 = all cores)")
+	kOrder := fs.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
+	shards := fs.Int("shards", 1, "split the experiment's trial space into N shards (fig5-3, harsh, kway)")
+	shard := fs.Int("shard", 0, "with -shards: which shard THIS process runs (0-based)")
+	shardOut := fs.String("shard-out", "", "with -shards: write the mergeable shard partial JSON here (default stdout)")
+	mergeList := fs.String("merge", "", "comma-separated shard partial files to merge and render (replaces running)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *kOrder < 2 || *kOrder > 4 {
 		fmt.Fprintln(os.Stderr, "-k must be 2, 3 or 4")
-		os.Exit(2)
+		return 2
+	}
+	if *shards < 1 {
+		fmt.Fprintln(os.Stderr, "-shards must be at least 1")
+		return 2
 	}
 	if *mergeList != "" {
-		os.Exit(runMerge(*mergeList))
+		return runMerge(*mergeList)
 	}
 
 	sc := experiments.Quick
@@ -68,8 +82,9 @@ func main() {
 	}
 	sc.Workers = *workers
 
-	if *shards > 1 {
-		os.Exit(runShard(*exp, *scaleName, sc, *seed, *kOrder, *shards, *shard, *shardOut))
+	// A split writes a partial even when it comes out as one shard.
+	if *shards > 1 || *shardOut != "" {
+		return runShard(*exp, *scaleName, sc, *seed, *kOrder, *shards, *shard, *shardOut)
 	}
 
 	runners := []struct {
@@ -102,8 +117,9 @@ func main() {
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 func fig42(seed int64) {

@@ -122,6 +122,35 @@ func TestMergeMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestMergeOneShardSplit pins a split whose shard count comes out as
+// one: the command writes the partial and prints nothing, and -merge of
+// that partial prints what the unsharded run prints. A shard count
+// below one is refused with exit 2.
+func TestMergeOneShardSplit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "one.json")
+	base := []string{"-exp", "kway", "-seed", "3", "-workers", "1"}
+	code, stdout, stderr := captureOutput(t, func() int {
+		return run(append(base, "-shards", "1", "-shard", "0", "-shard-out", path))
+	})
+	if code != 0 || stdout != "" {
+		t.Fatalf("one-shard run: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	code, got, stderr := captureOutput(t, func() int { return runMerge(path) })
+	if code != 0 {
+		t.Fatalf("merge of the one-shard partial: exit %d: %s", code, stderr)
+	}
+	_, want, _ := captureOutput(t, func() int { return run(base) })
+	if got != want {
+		t.Fatalf("merged one-shard output differs from the unsharded run:\n%s\nwant:\n%s", got, want)
+	}
+	for _, n := range []string{"0", "-1"} {
+		code, stdout, stderr := captureOutput(t, func() int { return run(append(base, "-shards", n)) })
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-shards must be at least 1") {
+			t.Errorf("-shards %s: exit %d, stdout %q, stderr %q; want exit 2 and the refusal", n, code, stdout, stderr)
+		}
+	}
+}
+
 // TestMergeRejectsBadPartials pins that -merge refuses, with exit 1,
 // nothing on stdout and a message naming the offending file where
 // there is one, every set of partials that does not cover each shard

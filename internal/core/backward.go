@@ -15,11 +15,24 @@ import (
 // two is what makes ZigZag's BER lower than interference-free
 // transmission.
 //
-// The pass runs only when it can matter. The receiver "takes whichever
-// succeeds" (§4.4), so when the forward candidate of every packet of
-// known length is complete and passes its checksum, DecodeWith skips
-// the pass (decoder.needsBackward): the result keeps the forward frames
-// and bits, and reports Source "forward" with no backward bits.
+// The pass runs only when it can matter, which DecodeWith checks twice
+// before running it:
+//
+//   - The receiver "takes whichever succeeds" (§4.4), so when the
+//     forward candidate of every packet of known length is complete and
+//     passes its checksum, the pass is skipped (decoder.needsBackward):
+//     the result keeps the forward frames and bits, and reports Source
+//     "forward" with no backward bits.
+//   - A packet's result reads backward state only when the pass decoded
+//     it down to the preamble. The schedule reads geometry alone — each
+//     occurrence's start and |Ĥ| as the forward pass left them, packet
+//     lengths, the forward frontier of packets whose length was never
+//     learned, and the config — never a decoded value. So the scheduler
+//     first runs in plan mode, moving only the frontiers by the commit
+//     rule, and the pass runs for real only when the plan brings some
+//     packet to the preamble (decoder.planBackward). A skipped pass
+//     changes no frame, bit or residual; only Iterations and the
+//     direction-1 events of the pass are absent.
 
 // bwdExcluded reports whether a packet cannot participate in the
 // backward pass (its length never became known, so its tail is
@@ -101,9 +114,7 @@ func (d *decoder) ensureSubtractedBwd(q *occState, fromSample float64) {
 	if q.p.bwdExcluded() {
 		chips = q.p.chips
 	}
-	m := d.modelerB(q)
-	q.spansB = append(q.spansB, subSpan{From: need, To: q.subChipB, Snap: m.State()})
-	m.Subtract(q.r.resB, chips, need, q.subChipB)
+	q.spansB = append(q.spansB, d.subtract(d.modelerB(q), q.r.resB, chips, need, q.subChipB))
 	q.subChipB = need
 }
 
@@ -119,9 +130,7 @@ func (d *decoder) selfSubtractBwd(o *occState) {
 	if need >= o.subChipB {
 		return
 	}
-	m := d.modelerB(o)
-	o.spansB = append(o.spansB, subSpan{From: need, To: o.subChipB, Snap: m.State()})
-	m.Subtract(o.r.resB, p.chipsB, need, o.subChipB)
+	o.spansB = append(o.spansB, d.subtract(d.modelerB(o), o.r.resB, p.chipsB, need, o.subChipB))
 	o.subChipB = need
 }
 
@@ -165,10 +174,33 @@ func (d *decoder) prepareB(o *occState) {
 	}
 }
 
+// commitBwd applies the backward commit rule to chunk [lo, hi) of p:
+// all but the holdback head commits, the whole chunk once it reaches
+// the preamble, and the frontier moves to the first committed symbol,
+// clamped at the preamble. It returns that symbol, or false, leaving the
+// frontier alone, when the chunk is too short to commit anything.
+func (d *decoder) commitBwd(p *pktState, lo, hi int) (int, bool) {
+	commit := lo
+	if lo > d.pre {
+		commit = lo + d.cfg.holdback()
+		if commit >= hi {
+			return 0, false
+		}
+	}
+	p.bwdDownTo = max(commit, d.pre)
+	return commit, true
+}
+
 // decodeChunkBwd decodes symbols [lo, hi) in reverse and commits all but
-// the holdback head.
-func (d *decoder) decodeChunkBwd(o *occState, lo, hi int) {
+// the holdback head. In plan mode it only applies the commit rule.
+func (d *decoder) decodeChunkBwd(o *occState, lo, hi int, plan bool) {
 	p := o.p
+	if plan {
+		if commit, ok := d.commitBwd(p, lo, hi); ok && d.debugHook != nil {
+			d.debugHook("plan", o, commit, hi)
+		}
+		return
+	}
 	startSample := o.sync.Start + float64(lo*d.sps)
 	for _, q := range o.r.occs {
 		if q.p != p {
@@ -176,12 +208,9 @@ func (d *decoder) decodeChunkBwd(o *occState, lo, hi int) {
 		}
 	}
 	d.prepareB(o)
-	commit := lo
-	if lo > d.pre {
-		commit = lo + d.cfg.holdback()
-		if commit >= hi {
-			return
-		}
+	commit, ok := d.commitBwd(p, lo, hi)
+	if !ok {
+		return
 	}
 	dec, soft := o.decB.DecodeRange(o.r.resB, lo, hi, true)
 	w := amp(o)
@@ -191,10 +220,6 @@ func (d *decoder) decodeChunkBwd(o *occState, lo, hi int) {
 		p.weightB[k] = w
 	}
 	p.syncChipsB(d, commit, hi)
-	p.bwdDownTo = commit
-	if commit <= d.pre {
-		p.bwdDownTo = d.pre
-	}
 	if d.debugHook != nil {
 		d.debugHook("bwd", o, commit, hi)
 	}
@@ -212,7 +237,7 @@ func (d *decoder) decodeChunkBwd(o *occState, lo, hi int) {
 
 // forceCaptureBwd mirrors forceCapture for the backward pass, including
 // the k-way live-blocker margin (see bwdMargin).
-func (d *decoder) forceCaptureBwd() bool {
+func (d *decoder) forceCaptureBwd(plan bool) bool {
 	var best *occState
 	bestRatio := 2.0
 	for _, r := range d.recs {
@@ -252,11 +277,11 @@ func (d *decoder) forceCaptureBwd() bool {
 	if lo < d.pre {
 		lo = d.pre
 	}
-	if d.obs != nil {
+	if d.obs != nil && !plan {
 		d.emitChunk(obs.KindForce, best, lo, hi, 1, bestRatio)
 	}
 	before := best.p.bwdDownTo
-	d.decodeChunkBwd(best, lo, hi)
+	d.decodeChunkBwd(best, lo, hi, plan)
 	return best.p.bwdDownTo < before
 }
 
@@ -275,6 +300,41 @@ func (d *decoder) runBackward() int {
 			o.subChipB = ub * d.sps
 		}
 	}
+	iters := d.scheduleBackward(false)
+	d.iters += iters
+	return iters
+}
+
+// planBackward reports whether the backward pass would decode some
+// packet down to the preamble, by running its schedule in plan mode
+// (see the top of this file). It touches no residual, span, modeler,
+// decoder, event or iteration count, and leaves every frontier as it
+// found it.
+func (d *decoder) planBackward() bool {
+	if d.cfg.DisableBackward {
+		return false
+	}
+	saved := d.downTo[:0]
+	for _, p := range d.pkts {
+		saved = append(saved, p.bwdDownTo)
+	}
+	d.scheduleBackward(true)
+	reached := false
+	for i, p := range d.pkts {
+		if !p.bwdExcluded() && p.bwdDownTo <= d.pre {
+			reached = true
+		}
+		p.bwdDownTo = saved[i]
+	}
+	d.downTo = saved[:0]
+	return reached
+}
+
+// scheduleBackward runs the mirrored greedy schedule from the packet
+// tails and returns its rounds. Every choice it makes reads geometry
+// only, so plan mode — each chunk moving its frontier by the commit
+// rule alone — makes the same choices as the pass that decodes.
+func (d *decoder) scheduleBackward(plan bool) int {
 	anyRunnable := false
 	for _, p := range d.pkts {
 		if p.bwdExcluded() {
@@ -320,12 +380,12 @@ func (d *decoder) runBackward() int {
 			}
 		}
 		if best == nil {
-			if d.forceCaptureBwd() {
+			if d.forceCaptureBwd(plan) {
 				continue
 			}
 			break
 		}
-		if d.obs != nil {
+		if d.obs != nil && !plan {
 			ev := obs.Event{Kind: obs.KindSchedule, Rec: d.obsRec, A: int64(best.p.id), B: int64(bestLo), C: int64(bestHi), F0: bestMargin}
 			ev.AppendList(best.r.id)
 			ev.AppendList(1)
@@ -333,14 +393,13 @@ func (d *decoder) runBackward() int {
 			d.obs.Emit(ev)
 		}
 		before := best.p.bwdDownTo
-		d.decodeChunkBwd(best, bestLo, bestHi)
+		d.decodeChunkBwd(best, bestLo, bestHi, plan)
 		if best.p.bwdDownTo >= before {
-			if !d.forceCaptureBwd() {
+			if !d.forceCaptureBwd(plan) {
 				break
 			}
 		}
 	}
-	d.iters += iters
 	return iters
 }
 

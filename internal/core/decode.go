@@ -33,6 +33,10 @@ type pktState struct {
 	weight  []float64    // forward MRC weights (|Ĥ| of the decoding rec)
 	fwdUpTo int          // symbols committed forward
 
+	// fwdBits are the forward bits once fwdDemod is set (forwardBits).
+	fwdBits  []byte
+	fwdDemod bool
+
 	// Backward pass.
 	decidedB  []complex128
 	chipsB    []complex128
@@ -80,9 +84,16 @@ type occState struct {
 
 // subSpan is one recorded subtraction: chips [From, To) removed using
 // model state Snap. Refined spans are consumed (removed from the log).
+// The image the subtraction removed sits at sample N0 of the reception
+// and in the decoder's image arena at [ImgLo, ImgHi), with Gen the
+// modeler's filter generation at the time; the range is empty for the
+// remainder a partial refinement keeps.
 type subSpan struct {
-	From, To int
-	Snap     phy.ModelState
+	From, To     int
+	Snap         phy.ModelState
+	Gen          uint64
+	N0           int
+	ImgLo, ImgHi int
 }
 
 // recState is one reception with its mutable residual buffers.
@@ -117,15 +128,17 @@ type decoder struct {
 
 	// Reusable working storage (kept across decodes on the same
 	// Scratch): header demap bits, the span compaction buffer, the
-	// dirty-interval cuts, the MRC combination buffer, and the forward
-	// bits that decide whether the backward pass runs.
+	// dirty-interval cuts, the MRC combination buffer, the frontiers the
+	// backward plan saves, and the arena holding each subtraction span's
+	// image.
 	hdrBits  []byte
 	spanKeep []subSpan
 	cuts     []interval
 	combBuf  []complex128
 	pieceA   []interval
 	pieceB   []interval
-	fwdBits  []byte
+	downTo   []int
+	imgs     []complex128
 
 	// debugHook, when non-nil, is invoked after each committed chunk
 	// (tests and diagnostics only).
@@ -179,7 +192,8 @@ func (sc *Scratch) newDecoder(cfg Config, metas []PacketMeta, recs []*Reception)
 		combBuf:  d.combBuf[:0],
 		pieceA:   d.pieceA[:0],
 		pieceB:   d.pieceB[:0],
-		fwdBits:  d.fwdBits[:0],
+		downTo:   d.downTo[:0],
+		imgs:     d.imgs[:0],
 
 		obs:    sc.Obs,
 		obsRec: sc.ObsRec,
@@ -365,9 +379,7 @@ func (d *decoder) ensureSubtractedFwd(q *occState, uptoSample float64) {
 	if need <= q.subChip {
 		return
 	}
-	m := d.modeler(q)
-	q.spans = append(q.spans, subSpan{From: q.subChip, To: need, Snap: m.State()})
-	m.Subtract(q.r.res, q.p.chips, q.subChip, need)
+	q.spans = append(q.spans, d.subtract(d.modeler(q), q.r.res, q.p.chips, q.subChip, need))
 	q.subChip = need
 }
 
@@ -384,10 +396,20 @@ func (d *decoder) selfSubtractFwd(o *occState) {
 	if need <= o.subChip {
 		return
 	}
-	m := d.modeler(o)
-	o.spans = append(o.spans, subSpan{From: o.subChip, To: need, Snap: m.State()})
-	m.Subtract(o.r.res, p.chips, o.subChip, need)
+	o.spans = append(o.spans, d.subtract(d.modeler(o), o.r.res, p.chips, o.subChip, need))
 	o.subChip = need
+}
+
+// subtract removes the image of chips [from, to) from res with m's
+// current model and returns the span that logs it, its image copied
+// into the decoder's arena so that refining the whole span later
+// measures against it instead of building it again.
+func (d *decoder) subtract(m *phy.Modeler, res, chips []complex128, from, to int) subSpan {
+	sp := subSpan{From: from, To: to, Snap: m.State(), Gen: m.FilterGen(), ImgLo: len(d.imgs)}
+	img, n0 := m.Subtract(res, chips, from, to)
+	d.imgs = append(d.imgs, img...)
+	sp.N0, sp.ImgHi = n0, len(d.imgs)
+	return sp
 }
 
 // refineModelsFwd runs the §4.2.4b tracker: over the sample window
@@ -416,7 +438,9 @@ func (d *decoder) refineModelsFwd(r *recState, winLo, winHi float64) {
 }
 
 // refineSpans measures and consumes q's recorded subtraction spans that
-// fall inside chips [from, to).
+// fall inside chips [from, to). A span measured whole under the filter
+// that subtracted it reuses its stored image; a partial measurement
+// builds the image of the measured range.
 func (d *decoder) refineSpans(q *occState, from, to int, backward bool) {
 	spans := q.spans
 	mod := q.mod
@@ -445,7 +469,11 @@ func (d *decoder) refineSpans(q *occState, from, to int, backward bool) {
 			keep = append(keep, sp)
 			continue
 		}
-		mod.RefineSpan(r_res(q, backward), chips, lo, hi, sp.Snap)
+		if lo == sp.From && hi == sp.To && sp.ImgHi > sp.ImgLo && sp.Gen == mod.FilterGen() {
+			mod.RefineSpanImage(r_res(q, backward), d.imgs[sp.ImgLo:sp.ImgHi], sp.N0, lo, hi, sp.Snap)
+		} else {
+			mod.RefineSpan(r_res(q, backward), chips, lo, hi, sp.Snap)
+		}
 		// Keep the unmeasured remainders of the span.
 		if lo-sp.From >= d.cfg.minTrackChips() {
 			keep = append(keep, subSpan{From: sp.From, To: lo, Snap: sp.Snap})

@@ -35,7 +35,7 @@ type PacketResult struct {
 	// Complete reports whether the forward pass decoded every symbol.
 	Complete bool
 
-	// Err explains a failure (nil when Frame is set).
+	// Err explains a failure (nil when Frame is set): a *PacketError.
 	Err error
 }
 
@@ -70,8 +70,19 @@ func (r *Result) AllOK() bool {
 // assemble builds the per-packet results after both passes.
 func (d *decoder) assemble() *Result {
 	res := &Result{Iterations: d.iters}
-	for _, p := range d.pkts {
-		res.Packets = append(res.Packets, d.assemblePacket(p))
+	res.Packets = make([]PacketResult, len(d.pkts))
+	var errs []PacketError
+	for i, p := range d.pkts {
+		pr := &res.Packets[i]
+		d.assemblePacket(p, pr)
+		if pr.Frame == nil {
+			// One backing array holds every failed packet's error.
+			if errs == nil {
+				errs = make([]PacketError, len(d.pkts))
+			}
+			errs[i] = PacketError{Packet: p.id, Decoded: p.fwdUpTo, Symbols: p.nsym}
+			pr.Err = &errs[i]
+		}
 	}
 	for _, r := range d.recs {
 		res.Residuals = append(res.Residuals, r.res)
@@ -79,16 +90,14 @@ func (d *decoder) assemble() *Result {
 	return res
 }
 
-func (d *decoder) assemblePacket(p *pktState) PacketResult {
-	var pr PacketResult
+// assemblePacket fills p's result from the forward and, when it reached
+// the preamble, the backward state.
+func (d *decoder) assemblePacket(p *pktState, pr *PacketResult) {
+	pr.BitsForward = append([]byte(nil), d.forwardBits(p)...)
 	if p.nsym < 0 {
-		pr.Err = fmt.Errorf("zigzag: packet %d: length never learned: %w", p.id, ErrNoProgress)
 		// Best-effort forward bits for diagnostics.
-		if p.fwdUpTo > d.pre {
-			pr.BitsForward = modem.Demodulate(nil, p.meta.Scheme, p.decided[d.pre:p.fwdUpTo])
-			pr.Bits = pr.BitsForward
-		}
-		return pr
+		pr.Bits = pr.BitsForward
+		return
 	}
 	pr.Complete = p.fwdUpTo >= p.nsym
 	dataSyms := p.nsym - d.pre
@@ -99,7 +108,6 @@ func (d *decoder) assemblePacket(p *pktState) PacketResult {
 		}
 		return bits
 	}
-	pr.BitsForward = trim(modem.Demodulate(nil, p.meta.Scheme, p.decided[d.pre:p.nsym]))
 
 	bwdRan := d.bwdRan && p.bwdDownTo <= d.pre
 	var mrcBits []byte
@@ -121,15 +129,19 @@ func (d *decoder) assemblePacket(p *pktState) PacketResult {
 		name string
 		bits []byte
 	}
-	cands := []cand{}
+	var cands [3]cand
+	n := 0
 	if mrcBits != nil {
-		cands = append(cands, cand{"mrc", mrcBits})
+		cands[n] = cand{"mrc", mrcBits}
+		n++
 	}
-	cands = append(cands, cand{"forward", pr.BitsForward})
+	cands[n] = cand{"forward", pr.BitsForward}
+	n++
 	if pr.BitsBackward != nil {
-		cands = append(cands, cand{"backward", pr.BitsBackward})
+		cands[n] = cand{"backward", pr.BitsBackward}
+		n++
 	}
-	for _, c := range cands {
+	for _, c := range cands[:n] {
 		f, err := frame.Parse(c.bits)
 		if err != nil {
 			continue
@@ -137,25 +149,68 @@ func (d *decoder) assemblePacket(p *pktState) PacketResult {
 		pr.Frame = f
 		pr.Source = c.name
 		pr.Bits = c.bits // checksum-verified: this is the packet
-		break
+		return
 	}
 	// Best-effort bits for BER accounting when every candidate failed.
-	if pr.Bits == nil {
-		if mrcBits != nil {
-			pr.Bits = mrcBits
-		} else {
-			pr.Bits = pr.BitsForward
-		}
+	if mrcBits != nil {
+		pr.Bits = mrcBits
+	} else {
+		pr.Bits = pr.BitsForward
 	}
-	if pr.Frame == nil {
-		if !pr.Complete {
-			pr.Err = fmt.Errorf("zigzag: packet %d incomplete (%d/%d symbols): %w",
-				p.id, p.fwdUpTo, p.nsym, ErrNoProgress)
-		} else {
-			pr.Err = fmt.Errorf("zigzag: packet %d: %w", p.id, errAllCandidatesFailed)
-		}
+}
+
+// forwardBits returns p's forward bit estimate, demodulated once per
+// decode into packet-owned backing: the frame's bits when its length is
+// known, else the data symbols up to the forward frontier.
+func (d *decoder) forwardBits(p *pktState) []byte {
+	if p.fwdDemod {
+		return p.fwdBits
 	}
-	return pr
+	p.fwdDemod = true
+	end := p.nsym
+	if end < 0 {
+		end = p.fwdUpTo
+	}
+	if end <= d.pre {
+		p.fwdBits = p.fwdBits[:0]
+		return p.fwdBits
+	}
+	p.fwdBits = modem.Demodulate(p.fwdBits[:0], p.meta.Scheme, p.decided[d.pre:end])
+	if p.nsym >= 0 && len(p.fwdBits) > p.totalBits {
+		p.fwdBits = p.fwdBits[:p.totalBits]
+	}
+	return p.fwdBits
+}
+
+// PacketError is PacketResult.Err for a packet that did not decode. Its
+// text is formatted only when read; errors.Is matches ErrNoProgress for
+// a packet whose length was never learned or that the forward pass left
+// incomplete.
+type PacketError struct {
+	Packet int
+	// Decoded is the forward frontier and Symbols the packet's symbol
+	// count including the preamble, negative when its length was never
+	// learned.
+	Decoded, Symbols int
+}
+
+func (e *PacketError) Error() string {
+	switch {
+	case e.Symbols < 0:
+		return fmt.Sprintf("zigzag: packet %d: length never learned: %v", e.Packet, ErrNoProgress)
+	case e.Decoded < e.Symbols:
+		return fmt.Sprintf("zigzag: packet %d incomplete (%d/%d symbols): %v", e.Packet, e.Decoded, e.Symbols, ErrNoProgress)
+	}
+	return fmt.Sprintf("zigzag: packet %d: %v", e.Packet, errAllCandidatesFailed)
+}
+
+// Unwrap returns ErrNoProgress, or the every-candidate-failed cause for
+// a complete packet.
+func (e *PacketError) Unwrap() error {
+	if e.Symbols >= 0 && e.Decoded >= e.Symbols {
+		return errAllCandidatesFailed
+	}
+	return ErrNoProgress
 }
 
 var errAllCandidatesFailed = errors.New("no candidate passed the checksum")
@@ -177,8 +232,12 @@ func Decode(cfg Config, metas []PacketMeta, recs []*Reception) (*Result, error) 
 // returned Result's Packets own their memory, but Residuals alias sc's
 // residual buffers: they stay valid only until the next DecodeWith call
 // on the same Scratch. A nil sc decodes on a fresh one-shot session,
-// which is exactly Decode. The forward pass always runs; the backward
-// pass runs only when it can change the outcome (needsBackward).
+// which is exactly Decode. The forward pass always runs. The backward
+// pass runs only when it can change the outcome: some forward candidate
+// failed (needsBackward), and a plan of the pass's schedule, which
+// reads no decoded value, decodes some packet down to its preamble
+// (planBackward). Results are those of running both passes, except
+// Iterations and the events of a skipped pass.
 // Bit-identity between the two paths — pooled
 // Modelers/SymbolDecoders and recycled arenas included — is pinned by
 // the decode-session tests.
@@ -191,7 +250,7 @@ func DecodeWith(sc *Scratch, cfg Config, metas []PacketMeta, recs []*Reception) 
 		return nil, err
 	}
 	d.runForward()
-	if d.needsBackward() {
+	if d.needsBackward() && d.planBackward() {
 		d.runBackward()
 	}
 	return d.assemble(), nil
@@ -210,14 +269,7 @@ func (d *decoder) needsBackward() bool {
 		if p.nsym < 0 {
 			continue
 		}
-		if p.fwdUpTo < p.nsym {
-			return true
-		}
-		d.fwdBits = modem.Demodulate(d.fwdBits[:0], p.meta.Scheme, p.decided[d.pre:p.nsym])
-		if len(d.fwdBits) > p.totalBits {
-			d.fwdBits = d.fwdBits[:p.totalBits]
-		}
-		if !frame.Check(d.fwdBits) {
+		if p.fwdUpTo < p.nsym || !frame.Check(d.forwardBits(p)) {
 			return true
 		}
 	}

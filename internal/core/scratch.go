@@ -84,7 +84,8 @@ func (sc *Scratch) pkt(i int) *pktState {
 	*p = pktState{
 		decided: p.decided[:0], chips: p.chips[:0], soft: p.soft[:0], weight: p.weight[:0],
 		decidedB: p.decidedB[:0], chipsB: p.chipsB[:0], softB: p.softB[:0], weightB: p.weightB[:0],
-		shape: dsp.FIR{Taps: p.shape.Taps[:0]},
+		shape:   dsp.FIR{Taps: p.shape.Taps[:0]},
+		fwdBits: p.fwdBits[:0],
 	}
 	return p
 }

@@ -68,7 +68,7 @@ func TestDecodeWithReuseBitIdentical(t *testing.T) {
 // on one Scratch does not grow without bound: the second and later
 // repetitions reuse the arenas (a small number of allocations remains —
 // the caller-owned Result and frame parses — but the big per-decode
-// state must be recycled).
+// state must be recycled, the span image arena included).
 func TestDecodeWithSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts; the ratio pin is meaningless here")
@@ -88,6 +88,7 @@ func TestDecodeWithSteadyStateAllocs(t *testing.T) {
 	if _, err := DecodeWith(sc, s.cfg, s.metas, recs); err != nil {
 		t.Fatal(err)
 	}
+	arena := cap(sc.dec.imgs)
 	pooled := testing.AllocsPerRun(10, func() {
 		if _, err := DecodeWith(sc, s.cfg, s.metas, recs); err != nil {
 			t.Fatal(err)
@@ -95,5 +96,8 @@ func TestDecodeWithSteadyStateAllocs(t *testing.T) {
 	})
 	if pooled > fresh/2 {
 		t.Errorf("pooled decode allocates %.0f/run vs %.0f fresh — session reuse is not engaging", pooled, fresh)
+	}
+	if arena == 0 || cap(sc.dec.imgs) != arena {
+		t.Errorf("span image arena capacity %d after warm-up, %d after repeats; want one fixed, non-zero backing", arena, cap(sc.dec.imgs))
 	}
 }

@@ -116,3 +116,22 @@ func BenchmarkClipQuant(b *testing.B) {
 		ClipQuant(buf, 4.0, 127)
 	}
 }
+
+// BenchmarkMulTone times the tone multiply on the Go loop and on the
+// build's kernel (the SSE2 form under amd64 && !purego).
+func BenchmarkMulTone(b *testing.B) {
+	for _, form := range []struct {
+		name string
+		asm  bool
+	}{{"go", false}, {"kernel", haveMulToneAsm}} {
+		b.Run(form.name, func(b *testing.B) {
+			buf := benchBuf(benchN)
+			b.SetBytes(benchN * 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mulTone(buf, 0.6, 0.003, form.asm)
+			}
+		})
+	}
+}

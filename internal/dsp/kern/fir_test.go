@@ -181,30 +181,92 @@ func FuzzFIRCplx(f *testing.F) {
 	})
 }
 
+// toneSpecials are the lane values FuzzMulTone mixes into its samples,
+// picked by class bytes 0x80 and up: signed zeros, subnormals, the
+// extremes, infinities and NaN.
+var toneSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.225073858507201e-308,
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// sameToneBits reports whether a and b carry the same float64 bits in
+// both parts, any NaN matching any NaN: packed lanes may propagate a
+// different NaN payload than scalar code, and nothing else.
+func sameToneBits(a, b complex128) bool {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+	}
+	return same(real(a), real(b)) && same(imag(a), imag(b))
+}
+
+// FuzzMulTone requires MulTone — the SSE2 kernel on amd64 — to carry
+// the Go loop's bits in every output (any NaN matching any NaN), for
+// any phase, step, length and sample lanes, special values included,
+// and, on finite unit-scale input, to stay within 1e-9 of the per-sample
+// cmplx.Exp ramp. Class bytes below 0x80 draw a normal lane, 0x80 and
+// up a toneSpecials entry, and past those arbitrary bits.
 func FuzzMulTone(f *testing.F) {
-	f.Add(int64(1), 0.5, -0.004, 300)
-	f.Add(int64(2), -20.0, 1e-7, AnchorBlock+1)
-	f.Add(int64(3), 0.0, 0.0, 1)
-	f.Add(int64(4), 3.0, 0.2, 4*AnchorBlock)
-	f.Fuzz(func(t *testing.T, seed int64, phase, step float64, n int) {
-		if math.IsNaN(phase) || math.IsNaN(step) ||
-			math.Abs(phase) > 1e6 || math.Abs(step) > math.Pi {
-			t.Skip()
-		}
+	f.Add(int64(1), 0.5, -0.004, 300, []byte(nil))
+	f.Add(int64(2), -20.0, 1e-7, AnchorBlock+1, []byte(nil))
+	f.Add(int64(3), 0.0, 0.0, 1, []byte(nil))
+	f.Add(int64(4), 3.0, 0.2, 4*AnchorBlock, []byte(nil))
+	classes := [][]byte{
+		{0x80, 0x81},                         // signed zeros
+		{0x00, 0x82, 0x83, 0x84, 0x00},       // subnormals among normals
+		{0x85, 0x86, 0x00, 0x00},             // the extremes
+		{0x00, 0x87, 0x00, 0x88, 0x00, 0x89}, // ±Inf and NaN
+		{0xff, 0x00, 0x00},                   // arbitrary bits
+	}
+	for k, n := range []int{2, 3, AnchorBlock - 1, AnchorBlock, AnchorBlock + 1, 2*AnchorBlock + 3} {
+		f.Add(int64(10+k), 1.5, 0.01, n, classes[k%len(classes)])
+	}
+	f.Add(int64(20), math.Inf(1), 0.01, 7, []byte(nil))
+	f.Add(int64(21), 0.3, math.NaN(), 9, []byte(nil))
+	f.Add(int64(22), 1e300, -1e300, AnchorBlock+5, []byte(nil))
+	f.Fuzz(func(t *testing.T, seed int64, phase, step float64, n int, class []byte) {
 		n = clampInt(n, 1, 8192)
 		rng := rand.New(rand.NewSource(seed))
-		buf := randCplx(rng, n)
-		want := make([]complex128, n)
+		lane := func(i int) float64 {
+			if len(class) == 0 {
+				return rng.NormFloat64()
+			}
+			switch b := int(class[i%len(class)]); {
+			case b < 0x80:
+				return rng.NormFloat64()
+			case b < 0x80+len(toneSpecials):
+				return toneSpecials[b-0x80]
+			default:
+				return math.Float64frombits(rng.Uint64())
+			}
+		}
+		buf := make([]complex128, n)
+		for i := range buf {
+			buf[i] = complex(lane(2*i), lane(2*i+1))
+		}
+		want := append([]complex128(nil), buf...)
+		mulTone(want, phase, step, false)
+		got := append([]complex128(nil), buf...)
+		MulTone(got, phase, step)
+		for i := range want {
+			if !sameToneBits(got[i], want[i]) {
+				t.Fatalf("seed=%d n=%d phase=%g step=%g: sample %d = %v (%#x, %#x), Go loop gives %v (%#x, %#x)",
+					seed, n, phase, step, i, got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+					want[i], math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
+			}
+		}
+		if len(class) > 0 || math.IsNaN(phase) || math.IsNaN(step) ||
+			math.Abs(phase) > 1e6 || math.Abs(step) > math.Pi {
+			return
+		}
 		var scale float64
-		for i, v := range buf {
-			want[i] = v * cmplx.Exp(complex(0, phase+float64(i)*step))
+		for _, v := range buf {
 			if a := cmplx.Abs(v); a > scale {
 				scale = a
 			}
 		}
-		MulTone(buf, phase, step)
-		for i := range buf {
-			if d := cmplx.Abs(buf[i] - want[i]); d > 1e-9*scale {
+		for i, v := range buf {
+			w := v * cmplx.Exp(complex(0, phase+float64(i)*step))
+			if d := cmplx.Abs(got[i] - w); d > 1e-9*scale {
 				t.Fatalf("seed=%d n=%d phase=%g step=%g: sample %d off by %g", seed, n, phase, step, i, d)
 			}
 		}

@@ -49,3 +49,12 @@ func fir8Asm(dst, x *complex128, n int, coef *float64) {
 func firCplxAsm(dst, x *complex128, n int, pairs *float64, l int) {
 	panic("kern: firCplxAsm without asm support")
 }
+
+// haveMulToneAsm is false off amd64 (or under the purego tag): MulTone
+// runs entirely on the Go loop.
+const haveMulToneAsm = false
+
+// mulTonePairsAsm is never called when haveMulToneAsm is false.
+func mulTonePairsAsm(buf *complex128, npairs int, st *[6]float64) {
+	panic("kern: mulTonePairsAsm without asm support")
+}

@@ -189,9 +189,6 @@ func NewQuantileSketch(accuracy float64) *QuantileSketch {
 	}
 }
 
-// Accuracy returns the sketch's relative accuracy.
-func (s *QuantileSketch) Accuracy() float64 { return s.accuracy }
-
 // key maps a positive magnitude to its bucket index.
 func (s *QuantileSketch) key(v float64) int32 {
 	return int32(math.Ceil(math.Log(v) * s.invLogG))
@@ -374,29 +371,6 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if out > s.max {
 		out = s.max
 	}
-	return out
-}
-
-// CDF returns (value, fraction≤value) pairs at each occupied bucket
-// (Sample.CDF's shape, at sketch resolution). The final fraction is
-// exactly 1.
-func (s *QuantileSketch) CDF() []Point {
-	if s.count == 0 {
-		return nil
-	}
-	out := make([]Point, 0, len(s.pos)+len(s.neg)+1)
-	var cum uint64
-	n := float64(s.count)
-	s.walk(func(v float64, c uint64) {
-		cum += c
-		if v < s.min {
-			v = s.min
-		}
-		if v > s.max {
-			v = s.max
-		}
-		out = append(out, Point{X: v, Y: float64(cum) / n})
-	})
 	return out
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -140,26 +139,6 @@ func TestSketchQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestSketchCDFMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	sk := NewQuantileSketch(0)
-	for i := 0; i < 1000; i++ {
-		sk.Add(r.NormFloat64())
-	}
-	pts := sk.CDF()
-	if len(pts) == 0 {
-		t.Fatal("empty CDF")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Fatalf("CDF not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if last := pts[len(pts)-1].Y; last != 1 {
-		t.Fatalf("CDF must end exactly at 1, got %v", last)
-	}
-}
-
 // decodeExactSum rebuilds an ExactSum from its wire form by re-adding
 // the partials, as a reader of MarshalJSON's output would.
 func decodeExactSum(w exactSumJSON) ExactSum {
@@ -280,34 +259,14 @@ func TestSketchMarshalJSONBytes(t *testing.T) {
 
 func TestSketchEmptyAndZeroes(t *testing.T) {
 	sk := NewQuantileSketch(0)
-	if !math.IsNaN(sk.Quantile(0.5)) || !math.IsNaN(sk.Mean()) || sk.CDF() != nil {
-		t.Fatal("empty sketch should be NaN/nil")
+	if !math.IsNaN(sk.Quantile(0.5)) || !math.IsNaN(sk.Mean()) {
+		t.Fatal("empty sketch should be NaN")
 	}
 	for i := 0; i < 5; i++ {
 		sk.Add(0)
 	}
 	if sk.Quantile(0.5) != 0 || sk.Min() != 0 || sk.Max() != 0 {
 		t.Fatal("all-zero sketch quantiles should be 0")
-	}
-}
-
-// TestSketchWalkOrder pins that CDF visits buckets in ascending value
-// order with negatives first (a regression trap for the key sort).
-func TestSketchWalkOrder(t *testing.T) {
-	sk := NewQuantileSketch(0)
-	for _, v := range []float64{5, -3, 0, 0.5, -0.1, 80} {
-		sk.Add(v)
-	}
-	pts := sk.CDF()
-	xs := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-	}
-	if !sort.Float64sAreSorted(xs) {
-		t.Fatalf("CDF xs not sorted: %v", xs)
-	}
-	if xs[0] > -2.9 || xs[len(xs)-1] < 79 {
-		t.Fatalf("CDF range wrong: %v", xs)
 	}
 }
 

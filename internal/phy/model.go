@@ -45,6 +45,11 @@ type Modeler struct {
 	g      dsp.FIR
 	gTaps  []complex128
 	isiFit bool
+	// gen counts installs of the image filter: Reinit, a successful
+	// FitISI and SetShape bump it and nothing resets it, so two images
+	// of the same chips under the same state snapshot and generation are
+	// bit-identical (see RefineSpanImage).
+	gen uint64
 
 	// lsq and yBuf are the FitISI working storage (the least-squares
 	// scratch and the derotated residual); with them threaded,
@@ -87,6 +92,7 @@ func (m *Modeler) Reinit(cfg Config, s Sync) {
 	m.gTaps = append(m.gTaps[:0], s.H)
 	m.g = dsp.FIR{Taps: m.gTaps, Center: 0}
 	m.isiFit = false
+	m.gen++
 	m.freq = s.Freq
 	m.anchorPos = float64(s.RefPos)
 	m.anchorPhase = 0
@@ -137,6 +143,7 @@ func (m *Modeler) SetShape(shape dsp.FIR) {
 	}
 	m.g = dsp.FIR{Taps: m.gTaps, Center: shape.Center}
 	m.isiFit = true
+	m.gen++
 }
 
 // Freq returns the current refined frequency-offset estimate.
@@ -144,6 +151,10 @@ func (m *Modeler) Freq() float64 { return m.freq }
 
 // ISIFitted reports whether the full FIR model has been fitted.
 func (m *Modeler) ISIFitted() bool { return m.isiFit }
+
+// FilterGen returns the image filter's generation: it changes whenever
+// Reinit, FitISI or SetShape installs a filter.
+func (m *Modeler) FilterGen() uint64 { return m.gen }
 
 // ramp returns the rotation model e^{jθ(n)} exponent at sample n. The
 // constant channel phase lives inside the filter taps; ramp carries only
@@ -268,6 +279,7 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	m.gTaps = append(m.gTaps[:0], g.Taps...)
 	m.g = dsp.FIR{Taps: m.gTaps, Center: g.Center}
 	m.isiFit = true
+	m.gen++
 	return nil
 }
 
@@ -388,6 +400,20 @@ func (m *Modeler) RefineSpan(residual []complex128, chips []complex128, chipFrom
 		return 0
 	}
 	img, n0 := m.buildImageWith(snap, chips, chipFrom, chipTo)
+	return m.RefineSpanImage(residual, img, n0, chipFrom, chipTo, snap)
+}
+
+// RefineSpanImage is RefineSpan measuring and correcting with the
+// span's image given instead of rebuilt: img, at sample n0, must be the
+// image of chips [chipFrom, chipTo) under snap and the current filter —
+// what Subtract returned for the span, if FilterGen has not changed
+// since. The image is a pure function of those chips, the snapshot, the
+// filter taps, the sync and the interpolator, so the result is
+// bit-identical to RefineSpan's. img is scaled in place.
+func (m *Modeler) RefineSpanImage(residual, img []complex128, n0, chipFrom, chipTo int, snap ModelState) float64 {
+	if m.cfg.DisablePhaseTracking {
+		return 0
+	}
 	margin := m.cfg.ModelTaps + m.interp.Taps + dsp.DefaultSincTaps
 	lo, hi := margin, len(img)-margin
 	var num, den complex128
@@ -450,10 +476,13 @@ func (m *Modeler) buildImageWith(s ModelState, chips []complex128, chipFrom, chi
 // Subtract builds and subtracts the chunk image without tracking. It is
 // used when re-subtracting a chunk whose parameters are already settled
 // (e.g. removing a packet from a third collision in the §4.5 general
-// case).
-func (m *Modeler) Subtract(residual []complex128, chips []complex128, chipFrom, chipTo int) {
+// case). It returns the image and its sample offset, as BuildImage does:
+// the modeler's scratch, which a caller keeping it for RefineSpanImage
+// copies out.
+func (m *Modeler) Subtract(residual []complex128, chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
 	img, n0 := m.BuildImage(chips, chipFrom, chipTo)
 	dsp.SubAt(residual, n0, img)
+	return img, n0
 }
 
 // AddBack re-adds the chunk image, undoing a Subtract with unchanged

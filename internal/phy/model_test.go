@@ -126,6 +126,84 @@ func TestRefineSpanCorrectsStaleSubtraction(t *testing.T) {
 	}
 }
 
+// TestRefineSpanImageMatchesRebuild pins the image reuse the joint
+// decoder's tracker runs on: refining a span with the image Subtract
+// returned gives, bit for bit, the residual, δφ and model state of
+// RefineSpan rebuilding the image. Reinit, a successful FitISI and
+// SetShape each change FilterGen, and after such a change the stored
+// image is no longer the one RefineSpan would build.
+func TestRefineSpanImageMatchesRebuild(t *testing.T) {
+	const trueFreq = 0.003
+	link := &channel.Params{Gain: 1, FreqOffset: trueFreq}
+	cfg, rx, wave, s := modelerScenario(t, link, 1e-4, 43)
+	s.Freq = trueFreq * 0.95
+	build := func() (*Modeler, []complex128, []complex128, int, ModelState) {
+		m := NewModeler(cfg, s)
+		if err := m.FitISI(rx, wave, 0, 600); err != nil {
+			t.Fatal(err)
+		}
+		res := dsp.Clone(rx)
+		snap := m.State()
+		img, n0 := m.Subtract(res, wave, 2000, 2800)
+		return m, res, dsp.Clone(img), n0, snap
+	}
+	mA, resA, img, n0, snap := build()
+	mB, resB, _, _, _ := build()
+	gen := mA.FilterGen()
+	dA := mA.RefineSpanImage(resA, img, n0, 2000, 2800, snap)
+	dB := mB.RefineSpan(resB, wave, 2000, 2800, snap)
+	if dA == 0 || math.Float64bits(dA) != math.Float64bits(dB) {
+		t.Fatalf("δφ %v with the stored image, %v rebuilt", dA, dB)
+	}
+	if mA.State() != mB.State() {
+		t.Fatalf("model state %+v with the stored image, %+v rebuilt", mA.State(), mB.State())
+	}
+	for i := range resA {
+		if math.Float64bits(real(resA[i])) != math.Float64bits(real(resB[i])) ||
+			math.Float64bits(imag(resA[i])) != math.Float64bits(imag(resB[i])) {
+			t.Fatalf("residual differs at sample %d: %v vs %v", i, resA[i], resB[i])
+		}
+	}
+	if mA.FilterGen() != gen {
+		t.Fatal("refinement changed the filter generation")
+	}
+
+	// Each filter install bumps the generation, and the image it
+	// subtracted before no longer matches a rebuild.
+	mC, _, stored, _, snapC := build()
+	shape, ok := mC.Shape(nil)
+	if !ok {
+		t.Fatal("no fitted shape")
+	}
+	bumps := []struct {
+		name string
+		do   func()
+	}{
+		{"SetShape", func() { shape.Taps[0] *= 1.5; mC.SetShape(shape) }},
+		{"FitISI", func() {
+			if err := mC.FitISI(rx, wave, 600, 1400); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Reinit", func() { mC.Reinit(cfg, s) }},
+	}
+	for _, b := range bumps {
+		g := mC.FilterGen()
+		b.do()
+		if mC.FilterGen() == g {
+			t.Errorf("%s left the filter generation at %d", b.name, g)
+		}
+	}
+	rebuilt, _ := mC.buildImageWith(snapC, wave, 2000, 2800)
+	same := len(rebuilt) == len(stored)
+	for i := 0; same && i < len(stored); i++ {
+		same = rebuilt[i] == stored[i]
+	}
+	if same {
+		t.Error("after new filters the stored image still equals a rebuild; the test no longer shows why the generation is checked")
+	}
+}
+
 func TestRefineSpanRejectsInterference(t *testing.T) {
 	// A residual still full of another signal must be rejected (|c|
 	// guard), leaving the model untouched.
