@@ -122,7 +122,7 @@ bench-correlate: build
 	$(GO) test -bench='BenchmarkLocatePacket|BenchmarkStoreMatch' -benchmem -run='^$$' ./internal/core
 
 bench-decode: build
-	$(GO) test -bench='BenchmarkBuildImage|BenchmarkTrackAndSubtract|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift|BenchmarkFitISI|BenchmarkTrainEqualizer' -benchmem -run='^$$' ./internal/phy
+	$(GO) test -bench='BenchmarkBuildImage|BenchmarkSubtract|BenchmarkDecodeRange|BenchmarkShiftDrift|BenchmarkShiftDriftZero|BenchmarkFitISI|BenchmarkTrainEqualizer' -benchmem -run='^$$' ./internal/phy
 	$(GO) test -bench='BenchmarkDecodeSingleCollision|BenchmarkDecodePair' -benchmem -run='^$$' ./internal/core
 
 bench-impair: build

@@ -49,90 +49,68 @@ func (f FIR) IsIdentity() bool {
 }
 
 // Apply filters x into dst (same length, edges read zeros). dst must not
-// alias x; if dst is nil a new slice is allocated. Outputs whose full tap
-// window lies inside x take an interior fast path with no per-tap bounds
-// or zero checks; the edge regions keep the checked evaluation.
+// alias x; if dst is nil a new slice is allocated. Every output runs one
+// kernel: kern.FIRCplx where it covers the tap count, the generic loop
+// (bit-identical) otherwise. Interior outputs read x itself; the outputs
+// at either end read a copy of their windows with the samples beyond x
+// zeroed, which is exact for finite taps: an accumulator starts at +0
+// and can never become −0, so a t·0 = ±0 term changes no bit. Zero taps
+// are not skipped, so an edge output reads a NaN or Inf input through a
+// zero tap as NaN, as interior outputs always have.
 func (f FIR) Apply(dst, x []complex128) []complex128 {
 	dst = ensure(dst, len(x))
-	if len(f.Taps) == 0 {
+	l := len(f.Taps)
+	if l == 0 {
 		copy(dst, x)
 		return dst
 	}
 	// Output n reads x[n+Center−(L−1) : n+Center+1); the window is fully
 	// supported for n ∈ [L−1−Center, len(x)−1−Center].
-	l := len(f.Taps)
-	e1 := l - 1 - f.Center
-	if e1 < 0 {
-		e1 = 0
+	e1 := min(max(l-1-f.Center, 0), len(dst))
+	i2 := min(max(len(x)-f.Center, e1), len(dst))
+	// Each edge takes whole blocks of four outputs, borrowing them from
+	// the interior, so only the interior's last partial block runs the
+	// packed kernel's scalar tail.
+	e1 = min((e1+3)&^3, i2)
+	i2 = max(i2-(i2-len(dst))&3, e1)
+	f.edge(dst[:e1], x, f.Center-l+1)
+	if i2 > e1 {
+		f.run(dst[e1:i2], x[e1+f.Center-l+1:])
 	}
-	if e1 > len(dst) {
-		e1 = len(dst)
-	}
-	i2 := len(x) - f.Center
-	if i2 < e1 {
-		i2 = e1
-	}
-	if i2 > len(dst) {
-		i2 = len(dst)
-	}
-	for n := 0; n < e1; n++ {
-		dst[n] = f.edgeAt(x, n)
-	}
-	if l == 3 {
-		// Three taps — the TypicalISI shape that dominates rendering —
-		// take a straight-line interior whose accumulation runs in the
-		// generic loop's exact order, so both paths are bit-identical.
-		t0, t1, t2 := f.Taps[0], f.Taps[1], f.Taps[2]
-		for n := e1; n < i2; n++ {
-			base := n + f.Center
-			v0 := x[base]
-			v1 := x[base-1]
-			v2 := x[base-2]
-			var re, im float64
-			re += real(t0)*real(v0) - imag(t0)*imag(v0)
-			im += real(t0)*imag(v0) + imag(t0)*real(v0)
-			re += real(t1)*real(v1) - imag(t1)*imag(v1)
-			im += real(t1)*imag(v1) + imag(t1)*real(v1)
-			re += real(t2)*real(v2) - imag(t2)*imag(v2)
-			im += real(t2)*imag(v2) + imag(t2)*real(v2)
-			dst[n] = complex(re, im)
-		}
-	} else if i2 > e1 && kern.FIRCplx(dst[e1:i2], x[e1+f.Center-l+1:], f.Taps) {
-		// Short complex-tap interiors (the fitted ISI image filter) run
-		// on the packed kernel, bit-identical to the generic loop.
-	} else {
-		for n := e1; n < i2; n++ {
-			base := n + f.Center
-			var re, im float64
-			for k, t := range f.Taps {
-				v := x[base-k]
-				re += real(t)*real(v) - imag(t)*imag(v)
-				im += real(t)*imag(v) + imag(t)*real(v)
-			}
-			dst[n] = complex(re, im)
-		}
-	}
-	for n := i2; n < len(dst); n++ {
-		dst[n] = f.edgeAt(x, n)
-	}
+	f.edge(dst[i2:], x, i2+f.Center-l+1)
 	return dst
 }
 
-// edgeAt evaluates output n with per-tap bounds checks, reading zeros
-// beyond x's edges.
-func (f FIR) edgeAt(x []complex128, n int) complex128 {
-	var acc complex128
-	for k, t := range f.Taps {
-		if t == 0 {
-			continue
-		}
-		i := n + f.Center - k
-		if i < 0 || i >= len(x) {
-			continue
-		}
-		acc += t * x[i]
+// run writes dst[i] = Σ_k Taps[k]·x[i+L−1−k], accumulating in k order,
+// for windows that lie in x, which holds len(dst)+L−1 samples.
+func (f FIR) run(dst, x []complex128) {
+	if kern.FIRCplx(dst, x, f.Taps) {
+		return
 	}
-	return acc
+	l := len(f.Taps)
+	for i := range dst {
+		base := i + l - 1
+		var re, im float64
+		for k, t := range f.Taps {
+			v := x[base-k]
+			re += real(t)*real(v) - imag(t)*imag(v)
+			im += real(t)*imag(v) + imag(t)*real(v)
+		}
+		dst[i] = complex(re, im)
+	}
+}
+
+// edge is run for outputs whose windows, the first starting at x index
+// w0, reach past an end of x. Four outputs at a time, it filters a copy
+// of their windows with the samples outside x zeroed, held on the stack
+// up to 16 taps.
+func (f FIR) edge(dst, x []complex128, w0 int) {
+	var buf [4 + 16 - 1]complex128
+	for len(dst) > 0 {
+		k := min(len(dst), 4)
+		f.run(dst[:k], padWindow(buf[:0], x, w0, k+len(f.Taps)-1))
+		dst, w0 = dst[k:], w0+k
+	}
 }
 
 // String renders the taps for diagnostics.

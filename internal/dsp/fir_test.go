@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -33,31 +34,63 @@ func TestFIRApplyKnownValues(t *testing.T) {
 	}
 }
 
-// applyReference is the straightforward per-tap-checked evaluation the
-// interior fast path of FIR.Apply must reproduce bit for bit.
+// edgeAt evaluates output n with per-tap bounds checks, reading zeros
+// beyond x's edges and skipping zero taps: the form FIR.Apply ran its
+// edge outputs on before they moved onto zero-padded windows.
+func (f FIR) edgeAt(x []complex128, n int) complex128 {
+	var acc complex128
+	for k, t := range f.Taps {
+		if t == 0 {
+			continue
+		}
+		i := n + f.Center - k
+		if i < 0 || i >= len(x) {
+			continue
+		}
+		acc += t * x[i]
+	}
+	return acc
+}
+
+// applyReference evaluates every output with edgeAt: the per-tap-checked
+// form FIR.Apply must reproduce bit for bit.
 func applyReference(f FIR, x []complex128) []complex128 {
 	dst := make([]complex128, len(x))
 	for n := range dst {
-		var acc complex128
-		for k, tap := range f.Taps {
-			if tap == 0 {
-				continue
-			}
-			i := n + f.Center - k
-			if i < 0 || i >= len(x) {
-				continue
-			}
-			acc += tap * x[i]
-		}
-		dst[n] = acc
+		dst[n] = f.edgeAt(x, n)
 	}
 	return dst
 }
 
-// TestFIRApplyFastPathMatchesReference sweeps tap counts, centers
+// apply3Reference is the straight-line interior FIR.Apply ran three-tap
+// filters on before they moved onto kern.FIRCplx, with edgeAt at the
+// edges.
+func apply3Reference(f FIR, x []complex128) []complex128 {
+	dst := make([]complex128, len(x))
+	t0, t1, t2 := f.Taps[0], f.Taps[1], f.Taps[2]
+	for n := range dst {
+		base := n + f.Center
+		if base-2 < 0 || base >= len(x) {
+			dst[n] = f.edgeAt(x, n)
+			continue
+		}
+		v0, v1, v2 := x[base], x[base-1], x[base-2]
+		var re, im float64
+		re += real(t0)*real(v0) - imag(t0)*imag(v0)
+		im += real(t0)*imag(v0) + imag(t0)*real(v0)
+		re += real(t1)*real(v1) - imag(t1)*imag(v1)
+		im += real(t1)*imag(v1) + imag(t1)*real(v1)
+		re += real(t2)*real(v2) - imag(t2)*imag(v2)
+		im += real(t2)*imag(v2) + imag(t2)*real(v2)
+		dst[n] = complex(re, im)
+	}
+	return dst
+}
+
+// TestFIRApplyFastPathMatchesReference sweeps tap counts 1–9, centers
 // (including fully one-sided filters) and signal lengths shorter than
-// the filter, checking the interior fast path plus edge handling
-// against the reference evaluation.
+// the filter, checking the interior kernel plus the padded edges
+// against the reference evaluation bit for bit.
 func TestFIRApplyFastPathMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 400; trial++ {
@@ -67,13 +100,55 @@ func TestFIRApplyFastPathMatchesReference(t *testing.T) {
 			f.Taps[r.Intn(l)] = 0 // exercise the zero-tap skip parity
 		}
 		x := randVec(r, 1+r.Intn(40))
-		got := f.Apply(nil, x)
-		want := applyReference(f, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("taps=%d center=%d len=%d: y[%d] = %v, want %v",
-					l, f.Center, len(x), i, got[i], want[i])
-			}
+		requireSameBits(t, f.Apply(nil, x), applyReference(f, x),
+			fmt.Sprintf("taps=%d center=%d len=%d", l, f.Center, len(x)))
+	}
+}
+
+// TestFIRApplyThreeTapMatchesUnrolled pins three-tap filters — the
+// TypicalISI shape every rendered link goes through — against the
+// unrolled interior they ran on, bit for bit, for each center and for
+// signals shorter and longer than the filter.
+func TestFIRApplyThreeTapMatchesUnrolled(t *testing.T) {
+	r := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 300; trial++ {
+		f := FIR{Taps: randVec(r, 3), Center: trial % 3}
+		if trial%5 == 0 {
+			// channel.TypicalISI's shape at a random strength.
+			g := 1 + r.Float64()
+			f = NewFIR([]complex128{complex(0.12*g, 0.04*g), 1, complex(0.22*g, -0.06*g)})
+		}
+		x := randVec(r, r.Intn(300))
+		requireSameBits(t, f.Apply(nil, x), apply3Reference(f, x),
+			fmt.Sprintf("taps=%v center=%d len=%d", f.Taps, f.Center, len(x)))
+	}
+}
+
+// TestFIRApplyZeroTapReadsNaN pins the documented NaN behaviour: a zero
+// tap multiplies its sample, so a NaN input under a zero tap makes the
+// output NaN at an edge exactly as in the interior.
+func TestFIRApplyZeroTapReadsNaN(t *testing.T) {
+	f := FIR{Taps: []complex128{0, 1, 0}, Center: 1}
+	x := randVec(rand.New(rand.NewSource(59)), 12)
+	x[1], x[10] = cmplx.NaN(), cmplx.NaN()
+	y := f.Apply(nil, x)
+	for _, n := range []int{0, 2, 9, 11} {
+		if !cmplx.IsNaN(y[n]) {
+			t.Fatalf("y[%d] = %v reads a NaN through a zero tap, want NaN", n, y[n])
+		}
+	}
+}
+
+// TestFIRApplyAllocFree pins the edge windows to the stack: applying a
+// filter up to 16 taps long allocates nothing beyond dst.
+func TestFIRApplyAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	x := randVec(r, 200)
+	dst := make([]complex128, len(x))
+	for _, l := range []int{3, 7, 16} {
+		f := FIR{Taps: randVec(r, l), Center: l / 2}
+		if n := testing.AllocsPerRun(20, func() { f.Apply(dst, x) }); n != 0 {
+			t.Fatalf("%d taps: %v allocations per Apply, want 0", l, n)
 		}
 	}
 }

@@ -135,9 +135,9 @@ type Resampler struct {
 	// coefMu is the fractional offset the current coef contents were
 	// generated for (NaN when coef is stale). Kernel is a pure function
 	// of (taps, mu), so reusing coef when mu repeats is bit-identical;
-	// under a constant-offset EvalDrift the fractional part takes only a
-	// handful of distinct values over a whole emission, which turns the
-	// per-sample Kernel generation into a rare event.
+	// the grid evaluations of one packet (its chunk images, its chip
+	// estimates) share one fractional part, which turns Kernel
+	// generation into a rare event.
 	coefMu float64
 }
 
@@ -164,8 +164,32 @@ func (rs *Resampler) EvalGrid(dst, x []complex128, pos0 float64, n int) []comple
 	if n <= 0 {
 		return dst
 	}
-	base0 := int(math.Floor(pos0))
-	mu := pos0 - float64(base0)
+	base0, mu := splitPos(pos0)
+	rs.grid(dst, x, base0, mu)
+	return dst
+}
+
+// splitPos splits an evaluation position into its sample index and its
+// fractional part μ ∈ [0, 1). A position less than 2^−54 below zero
+// would have pos − ⌊pos⌋ round up to 1, outside Kernel's domain (one
+// coefficient is 0/0); it is sample 0 to within rounding.
+func splitPos(pos float64) (int, float64) {
+	base := int(math.Floor(pos))
+	mu := pos - float64(base)
+	if mu == 1 {
+		return base + 1, 0
+	}
+	return base, mu
+}
+
+// grid writes dst[i] = x(base0+i+mu) for mu ∈ [0, 1) with one phase
+// FIR. Outputs whose window lies in x run the kernel on x itself;
+// outputs whose window reaches past an end of x run it on a copy of
+// their windows with the samples outside x zeroed. That is exact: an
+// accumulator starts at +0 and can never become −0, so the extra
+// c·0 = ±0 terms change no bit of the sum over the samples in x.
+func (rs *Resampler) grid(dst, x []complex128, base0 int, mu float64) {
+	n := len(dst)
 	if mu == 0 {
 		// Integer grid: a pure (clipped) copy.
 		for i := range dst {
@@ -175,7 +199,7 @@ func (rs *Resampler) EvalGrid(dst, x []complex128, pos0 float64, n int) []comple
 				dst[i] = 0
 			}
 		}
-		return dst
+		return
 	}
 	t := rs.Interp.taps()
 	pp := rs.bank(t)
@@ -184,92 +208,146 @@ func (rs *Resampler) EvalGrid(dst, x []complex128, pos0 float64, n int) []comple
 		rs.coefMu = mu
 	}
 	coef := rs.coef
-	// Output i reads x[base0+i−t+1 : base0+i+t+1); split the range into
-	// the fully supported interior and the zero-padded edges.
-	lo := t - 1 - base0          // first fully supported output
-	hi := len(x) - 1 - t - base0 // last fully supported output
-	e1 := lo
-	if e1 < 0 {
-		e1 = 0
+	// Output i reads x[base0+i−t+1 : base0+i+t+1). Outputs [0, z0) and
+	// [z1, n) read nothing of x and are zero, [z0, e1) and [i2, z1)
+	// reach past its start and end, and [e1, i2) is fully supported.
+	e1 := min(max(t-1-base0, 0), n)
+	i2 := min(max(len(x)-t-base0, e1), n)
+	z0 := min(max(-base0-t, 0), e1)
+	z1 := min(max(len(x)+t-1-base0, i2), n)
+	// Each edge takes whole blocks of four outputs, borrowing them from
+	// the interior, so only the interior's last partial block runs the
+	// packed kernel's scalar tail.
+	e1 = min(z0+(e1-z0+3)&^3, i2)
+	i2 = max(i2-(i2-z1)&3, e1)
+	clear(dst[:z0])
+	edge(dst[z0:e1], x, base0+z0-t+1, coef)
+	if i2 > e1 {
+		firReal(dst[e1:i2], x[base0+e1-t+1:], coef)
 	}
-	if e1 > n {
-		e1 = n
+	edge(dst[i2:z1], x, base0+i2-t+1, coef)
+	clear(dst[z1:])
+}
+
+// edge is firReal for outputs whose windows, the first starting at x
+// index w0, reach past an end of x. Four outputs at a time, it runs on
+// a copy of their windows with the samples outside x zeroed, held on
+// the stack up to eight one-sided taps.
+func edge(dst, x []complex128, w0 int, coef []float64) {
+	var buf [4 + 2*8 - 1]complex128
+	for len(dst) > 0 {
+		k := min(len(dst), 4)
+		firReal(dst[:k], padWindow(buf[:0], x, w0, k+len(coef)-1), coef)
+		dst, w0 = dst[k:], w0+k
 	}
-	i2 := hi + 1
-	if i2 < e1 {
-		i2 = e1
+}
+
+// firReal writes dst[i] = Σ_j coef[j]·x[i+j], accumulating in j order:
+// on the packed kernel for the default support (eight coefficients),
+// otherwise on the scalar loop. x must hold len(dst)+len(coef)−1
+// samples.
+func firReal(dst, x []complex128, coef []float64) {
+	if len(coef) == 8 {
+		kern.FIRReal8(dst, x, coef)
+		return
 	}
-	if i2 > n {
-		i2 = n
+	for i := range dst {
+		dst[i] = dot(x[i:], coef)
 	}
-	// Outputs whose window misses x entirely are exactly zero (the
-	// clipped accumulation over an empty overlap): window [base0+i−t+1,
-	// base0+i+t] lies fully below x for i < −base0−t and fully above for
-	// i ≥ len(x)+t−1−base0. Zero-fill those stretches outright so the
-	// per-tap clipped evaluation only runs where the window actually
-	// straddles an edge.
-	z0 := -base0 - t
-	if z0 < 0 {
-		z0 = 0
+}
+
+// dot is one output of firReal: Σ_j coef[j]·w[j], accumulating in j
+// order, on kern.Dot8 for the default support.
+func dot(w []complex128, coef []float64) complex128 {
+	if len(coef) == 8 {
+		return kern.Dot8(w, coef)
 	}
-	if z0 > e1 {
-		z0 = e1
+	w = w[:len(coef)]
+	var re, im float64
+	for j, c := range coef {
+		re += c * real(w[j])
+		im += c * imag(w[j])
 	}
-	z1 := len(x) + t - 1 - base0
-	if z1 < i2 {
-		z1 = i2
+	return complex(re, im)
+}
+
+// padWindow returns buf, grown as needed, holding the m samples
+// x[w0 : w0+m] with the positions outside x read as zero.
+func padWindow(buf, x []complex128, w0, m int) []complex128 {
+	buf = ensure(buf, m)
+	clear(buf)
+	if lo, hi := max(w0, 0), min(w0+m, len(x)); lo < hi {
+		copy(buf[lo-w0:], x[lo:hi])
 	}
-	if z1 > n {
-		z1 = n
-	}
-	for i := 0; i < z0; i++ {
-		dst[i] = 0
-	}
-	for i := z0; i < e1; i++ {
-		dst[i] = dotKernelClipped(x, base0+i-t+1, coef)
-	}
-	if len(coef) == 8 && i2 > e1 {
-		// The default support takes the packed sliding-window kernel —
-		// bit-identical to the dotKernel8 loop (see kern.FIRReal8).
-		kern.FIRReal8(dst[e1:i2], x[base0+e1-t+1:], coef)
-	} else {
-		for i := e1; i < i2; i++ {
-			dst[i] = dotKernel(x[base0+i-t+1:], coef)
-		}
-	}
-	for i := i2; i < z1; i++ {
-		dst[i] = dotKernelClipped(x, base0+i-t+1, coef)
-	}
-	for i := z1; i < n; i++ {
-		dst[i] = 0
-	}
-	return dst
+	return buf
 }
 
 // EvalDrift writes dst[n] = x(n + mu0 + n·drift) for n ∈ [0, len(x)):
 // resampling with a linearly drifting offset (ShiftDrift semantics,
-// §3.1.2). The fractional part now changes per sample, so a fresh phase
-// FIR is generated per output — still only three transcendentals each
-// via the closed form, versus 2·(2·Taps) for the direct kernel. dst is
-// reused when its capacity allows and must not alias x.
+// §3.1.2). dst is reused when its capacity allows and must not alias x.
+//
+// With drift 0 — every link whose clocks are not skewed — output n
+// sits at fl(n+mu0). For |mu0| < 1 that splits into runs of n over
+// which n+mu0 stays in one binade [2^k, 2^(k+1)): n is a multiple of
+// twice the binade's ulp, so fl(n+mu0) = n + ρ with ρ the rounding of
+// mu0 to that ulp, and the fractional part and base−n are constant
+// over the run. Each run is one grid evaluation. (EvalGrid at mu0 is
+// not a substitute: ρ moves by an ulp from one binade to the next.)
+// With drift the fractional part changes per output, and each output
+// takes its own phase FIR — three transcendentals via the closed form,
+// versus 2·(2·Taps) for the direct kernel.
 func (rs *Resampler) EvalDrift(dst, x []complex128, mu0, drift float64) []complex128 {
 	dst = ensure(dst, len(x))
+	if drift != 0 || !(math.Abs(mu0) < 1) {
+		rs.driftAt(dst, x, 0, mu0, drift)
+		return dst
+	}
+	// Run k is n ∈ [2^k+s, 2^(k+1)+s), which keeps n+mu0 in
+	// [2^k, 2^(k+1)); s = 1 when mu0 < 0. The outputs before the first
+	// run go one at a time.
+	s := 0
+	if mu0 < 0 {
+		s = 1
+	}
+	rs.driftAt(dst[:min(1+s, len(dst))], x, 0, mu0, drift)
+	for a := 1 + s; a < len(dst); a = 2*a - s {
+		b := min(2*a-s, len(dst))
+		// Check the run's phase and offset at its last output against
+		// its first; a mismatch falls back to one output at a time.
+		ba, mu := splitPos(driftPos(a, mu0, drift))
+		bb, mub := splitPos(driftPos(b-1, mu0, drift))
+		if mu != mub || ba-a != bb-(b-1) {
+			rs.driftAt(dst[a:b], x, a, mu0, drift)
+			continue
+		}
+		rs.grid(dst[a:b], x, ba, mu)
+	}
+	return dst
+}
+
+// driftPos is the position EvalDrift evaluates output n at.
+func driftPos(n int, mu0, drift float64) float64 {
+	return float64(n) + mu0 + float64(n)*drift
+}
+
+// driftAt writes dst[i] = x(driftPos(n0+i, mu0, drift)), each output
+// with the phase FIR of its own fractional part; windows that reach
+// past an end of x run through edge, as in grid.
+func (rs *Resampler) driftAt(dst, x []complex128, n0 int, mu0, drift float64) {
 	t := rs.Interp.taps()
 	pp := rs.bank(t)
-	if cap(rs.coef) < 2*t {
+	if len(rs.coef) != 2*t {
 		rs.coef = make([]float64, 2*t)
 		rs.coefMu = math.NaN()
 	}
-	coef := rs.coef[:2*t]
-	for n := range dst {
-		pos := float64(n) + mu0 + float64(n)*drift
-		base := int(math.Floor(pos))
-		mu := pos - float64(base)
+	coef := rs.coef
+	for i := range dst {
+		base, mu := splitPos(driftPos(n0+i, mu0, drift))
 		if mu == 0 {
 			if base >= 0 && base < len(x) {
-				dst[n] = x[base]
+				dst[i] = x[base]
 			} else {
-				dst[n] = 0
+				dst[i] = 0
 			}
 			continue
 		}
@@ -278,70 +356,9 @@ func (rs *Resampler) EvalDrift(dst, x []complex128, mu0, drift float64) []comple
 			rs.coefMu = mu
 		}
 		if w0 := base - t + 1; w0 >= 0 && w0+2*t <= len(x) {
-			dst[n] = dotKernel(x[w0:], coef)
+			dst[i] = dot(x[w0:], coef)
 		} else {
-			dst[n] = dotKernelClipped(x, w0, coef)
+			edge(dst[i:i+1], x, w0, coef)
 		}
 	}
-	return dst
-}
-
-// dotKernel is the full-support inner product Σ_j coef[j]·w[j], with
-// the real/imaginary accumulation matching complex(coef[j],0)·w[j]
-// addition bit for bit. The default-support case (4 one-sided taps →
-// 8 coefficients) takes a straight-line specialization whose adds run
-// in the loop's exact order, so both paths are bit-identical.
-func dotKernel(w []complex128, coef []float64) complex128 {
-	if len(coef) == 8 {
-		return dotKernel8(w, coef)
-	}
-	w = w[:len(coef)]
-	var re, im float64
-	for j, c := range coef {
-		v := w[j]
-		re += c * real(v)
-		im += c * imag(v)
-	}
-	return complex(re, im)
-}
-
-// dotKernel8 is dotKernel for exactly eight coefficients: the same
-// sequential accumulation with the loop and bounds checks peeled away.
-func dotKernel8(w []complex128, coef []float64) complex128 {
-	w = w[:8]
-	coef = coef[:8]
-	var re, im float64
-	re += coef[0] * real(w[0])
-	im += coef[0] * imag(w[0])
-	re += coef[1] * real(w[1])
-	im += coef[1] * imag(w[1])
-	re += coef[2] * real(w[2])
-	im += coef[2] * imag(w[2])
-	re += coef[3] * real(w[3])
-	im += coef[3] * imag(w[3])
-	re += coef[4] * real(w[4])
-	im += coef[4] * imag(w[4])
-	re += coef[5] * real(w[5])
-	im += coef[5] * imag(w[5])
-	re += coef[6] * real(w[6])
-	im += coef[6] * imag(w[6])
-	re += coef[7] * real(w[7])
-	im += coef[7] * imag(w[7])
-	return complex(re, im)
-}
-
-// dotKernelClipped is dotKernel at a window starting at w0 that may
-// extend past x's bounds; out-of-range samples read zero.
-func dotKernelClipped(x []complex128, w0 int, coef []float64) complex128 {
-	var re, im float64
-	for j, c := range coef {
-		k := w0 + j
-		if k < 0 || k >= len(x) {
-			continue
-		}
-		v := x[k]
-		re += c * real(v)
-		im += c * imag(v)
-	}
-	return complex(re, im)
 }

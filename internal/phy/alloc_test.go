@@ -51,7 +51,7 @@ func requireZeroAllocs(t *testing.T, name string, op func()) {
 
 // TestSubtractAllocFree pins the zero-allocation guarantee of the
 // re-encode/subtract engine: once a modeler's scratch has reached
-// steady state, Subtract and TrackAndSubtract allocate nothing.
+// steady state, Subtract and RefineSpan allocate nothing.
 func TestSubtractAllocFree(t *testing.T) {
 	cfg, rx, wave, s := allocScenario(t, 211)
 	m := NewModeler(cfg, s)
@@ -62,12 +62,11 @@ func TestSubtractAllocFree(t *testing.T) {
 	requireZeroAllocs(t, "Modeler.Subtract", func() {
 		m.Subtract(res, wave, 800, 1200)
 	})
-	requireZeroAllocs(t, "Modeler.TrackAndSubtract", func() {
+	requireZeroAllocs(t, "Modeler.RefineSpan", func() {
 		copy(res, rx)
-		m.TrackAndSubtract(res, wave, 800, 1200)
-	})
-	requireZeroAllocs(t, "Modeler.AddBack", func() {
-		m.AddBack(res, wave, 800, 1200)
+		snap := m.State()
+		m.Subtract(res, wave, 800, 1200)
+		m.RefineSpan(res, wave, 800, 1200, snap)
 	})
 }
 
@@ -282,6 +281,15 @@ func TestTrainEqualizerFillRawMatchesRawSymbol(t *testing.T) {
 	}
 }
 
+// subtractRefine subtracts chips [from, to) and refines the span against
+// the state it was subtracted with, as the joint decoder does; it
+// returns the measured phase error.
+func subtractRefine(m *Modeler, res, chips []complex128, from, to int) float64 {
+	snap := m.State()
+	m.Subtract(res, chips, from, to)
+	return m.RefineSpan(res, chips, from, to, snap)
+}
+
 // TestReinitMatchesNew pins the pooling contract: a Modeler/
 // SymbolDecoder recycled through Reinit onto a new scenario behaves
 // bit-identically to a freshly constructed one, even after the recycled
@@ -295,7 +303,7 @@ func TestReinitMatchesNew(t *testing.T) {
 	if err := used.FitISI(rxA, waveA, 0, 600); err != nil {
 		t.Fatal(err)
 	}
-	used.TrackAndSubtract(dsp.Clone(rxA), waveA, 800, 1200)
+	subtractRefine(used, dsp.Clone(rxA), waveA, 800, 1200)
 	usedDec := NewSymbolDecoder(cfgA, sA, modem.BPSK)
 	if err := usedDec.TrainEqualizer(rxA, cfgA.PreambleSymbols(), 0); err != nil {
 		t.Fatal(err)
@@ -311,10 +319,11 @@ func TestReinitMatchesNew(t *testing.T) {
 		}
 	}
 	resUsed, resFresh := dsp.Clone(rxB), dsp.Clone(rxB)
-	dUsed := used.TrackAndSubtract(resUsed, waveB, 800, 1200)
-	dFresh := fresh.TrackAndSubtract(resFresh, waveB, 800, 1200)
-	if dUsed != dFresh {
-		t.Fatalf("TrackAndSubtract dphi: recycled %v, fresh %v", dUsed, dFresh)
+	dUsed := subtractRefine(used, resUsed, waveB, 800, 1200)
+	dFresh := subtractRefine(fresh, resFresh, waveB, 800, 1200)
+	if dUsed != dFresh || used.State() != fresh.State() {
+		t.Fatalf("Subtract+RefineSpan: recycled dphi %v state %+v, fresh dphi %v state %+v",
+			dUsed, used.State(), dFresh, fresh.State())
 	}
 	for i := range resUsed {
 		if resUsed[i] != resFresh[i] {

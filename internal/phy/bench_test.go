@@ -58,26 +58,6 @@ func BenchmarkBuildImage(b *testing.B) {
 	}
 }
 
-// BenchmarkTrackAndSubtract measures the full §4.2.4b subtraction step:
-// build the chunk image, measure and apply the phase/magnitude
-// correction, subtract, and update the frequency estimate.
-func BenchmarkTrackAndSubtract(b *testing.B) {
-	cfg, rx, wave, s := benchScenario(b, 103)
-	m := NewModeler(cfg, s)
-	if err := m.FitISI(rx, wave, 0, 600); err != nil {
-		b.Fatal(err)
-	}
-	res := dsp.Clone(rx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TrackAndSubtract(res, wave, 800, 1200)
-		if i&0xf == 0xf {
-			copy(res, rx) // keep the residual from drifting to -inf
-		}
-	}
-}
-
 // BenchmarkSubtract measures the no-tracking re-subtraction used when a
 // packet is removed from a third collision (§4.5).
 func BenchmarkSubtract(b *testing.B) {
@@ -146,7 +126,13 @@ func BenchmarkTrainEqualizer(b *testing.B) {
 // BenchmarkShiftDrift measures the channel model's drifting-offset
 // resampler, the per-trial cost of realizing a clock-skewed link
 // (§3.1.2).
-func BenchmarkShiftDrift(b *testing.B) {
+func BenchmarkShiftDrift(b *testing.B) { benchShiftDrift(b, 2e-5) }
+
+// BenchmarkShiftDriftZero measures the same resampler without drift,
+// the path every link without clock skew renders through.
+func BenchmarkShiftDriftZero(b *testing.B) { benchShiftDrift(b, 0) }
+
+func benchShiftDrift(b *testing.B, drift float64) {
 	r := rand.New(rand.NewSource(109))
 	x := make([]complex128, 4096)
 	for i := range x {
@@ -158,6 +144,6 @@ func BenchmarkShiftDrift(b *testing.B) {
 	b.SetBytes(int64(len(x) * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ip.ShiftDrift(dst, x, 0.37, 2e-5)
+		ip.ShiftDrift(dst, x, 0.37, drift)
 	}
 }

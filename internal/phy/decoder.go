@@ -300,8 +300,31 @@ func phaseError(z, dec complex128) float64 {
 	if dec == 0 || z == 0 {
 		return 0
 	}
-	e := cmplx.Phase(z * cmplx.Conj(dec))
+	return clampedPhase(z * cmplx.Conj(dec))
+}
+
+// clampedPhase is the phase of w clamped to ±π/4, bit-identical to
+// clamping math.Atan2's result but without its special-case checks
+// where they cannot fire. For real part x > 0 and |y| < x atan2 is
+// atan(y/x), which lies within ±π/4 (atan(1) rounds to π/4). Where the
+// clamp binds it returns Copysign(π/4, y) without any atan: for x > 0,
+// |y| ≥ x means atan(|y|/x) ≥ atan(1); for x ≤ 0 atan2 lies beyond
+// ±π/2 with the sign of y, except when y/x underflows to +0 with y < 0,
+// where atan2 returns +π. That case, NaN and w = 0 take atan2.
+func clampedPhase(w complex128) float64 {
 	const lim = math.Pi / 4
+	x, y := real(w), imag(w)
+	if x > 0 {
+		if math.Abs(y) < x {
+			return math.Atan(y / x)
+		}
+		if !math.IsNaN(y) {
+			return math.Copysign(lim, y)
+		}
+	} else if x <= 0 && w != 0 && !math.IsNaN(y) && (y >= 0 || y/x != 0) {
+		return math.Copysign(lim, y)
+	}
+	e := math.Atan2(y, x)
 	if e > lim {
 		e = lim
 	} else if e < -lim {

@@ -66,8 +66,6 @@ type Modeler struct {
 	freq        float64 // refined rad/sample estimate
 	anchorPos   float64
 	anchorPhase float64
-	lastPos     float64 // previous anchor, for the δφ/δt slope
-	hasLast     bool
 }
 
 // NewModeler builds a modeler for one packet occurrence in one reception.
@@ -96,8 +94,6 @@ func (m *Modeler) Reinit(cfg Config, s Sync) {
 	m.freq = s.Freq
 	m.anchorPos = float64(s.RefPos)
 	m.anchorPhase = 0
-	m.lastPos = 0
-	m.hasLast = false
 }
 
 // Sync returns the synchronization the modeler is anchored to.
@@ -283,61 +279,6 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	return nil
 }
 
-// TrackAndSubtract builds the chunk image, measures the complex scale
-// error λ between the residual and the image over the chunk, corrects the
-// image by λ's phase (and magnitude, within limits), subtracts it, and
-// updates the frequency estimate by α·δφ/δt (§4.2.4b). It returns the
-// measured phase error δφ.
-//
-// If tracking is disabled (Config.DisablePhaseTracking) the raw image is
-// subtracted unchanged — the ablation whose error accumulation Fig 5-2a
-// visualizes.
-func (m *Modeler) TrackAndSubtract(residual []complex128, chips []complex128, chipFrom, chipTo int) float64 {
-	img, n0 := m.BuildImage(chips, chipFrom, chipTo)
-	if m.cfg.DisablePhaseTracking {
-		dsp.SubAt(residual, n0, img)
-		return 0
-	}
-	// Measure λ over the central, fully-supported part of the image.
-	margin := m.cfg.ModelTaps + m.interp.Taps + dsp.DefaultSincTaps
-	lo, hi := margin, len(img)-margin
-	var num, den complex128
-	for i := lo; i < hi; i++ {
-		n := n0 + i
-		if n < 0 || n >= len(residual) {
-			continue
-		}
-		num += residual[n] * cmplx.Conj(img[i])
-		den += img[i] * cmplx.Conj(img[i])
-	}
-	var dphi float64
-	if real(den) > 0 {
-		lambda := num / den
-		dphi = cmplx.Phase(lambda)
-		mag := cmplx.Abs(lambda)
-		// Bound the correction: λ far from 1 means the "residual" still
-		// contains interference and the measurement is unusable.
-		if mag > 0.5 && mag < 1.5 {
-			if mag > 1.1 {
-				mag = 1.1
-			} else if mag < 0.9 {
-				mag = 0.9
-			}
-			corr := cmplx.Rect(mag, dphi)
-			for i := range img {
-				img[i] *= corr
-			}
-			// Re-anchor the phase model at this chunk's centre and nudge
-			// the frequency estimate (§4.2.4b).
-			m.applyTrack(dphi, m.sync.Start+float64(chipFrom+chipTo)/2)
-		} else {
-			dphi = 0
-		}
-	}
-	dsp.SubAt(residual, n0, img)
-	return dphi
-}
-
 // ModelState is a snapshot of the rotation model: the exact phase/
 // frequency a subtraction was performed with. Refinements measure the
 // residual *against the snapshot that created it* — measuring against a
@@ -357,24 +298,6 @@ func (m *Modeler) State() ModelState {
 // rampWith evaluates a snapshot's rotation model at sample n.
 func rampWith(s ModelState, n float64) float64 {
 	return s.AnchorPhase + s.Freq*(n-s.AnchorPos)
-}
-
-// applyTrack re-anchors the phase model at pos with correction dphi and
-// nudges the frequency estimate by the paper's α·δφ/δt rule (§4.2.4b).
-func (m *Modeler) applyTrack(dphi, pos float64) {
-	m.anchorPhase = dsp.WrapPhase(m.ramp(pos) + dphi)
-	m.anchorPos = pos
-	if m.hasLast && pos != m.lastPos {
-		df := m.cfg.TrackAlpha * dphi / (pos - m.lastPos)
-		const dfCap = 2e-3
-		if df > dfCap {
-			df = dfCap
-		} else if df < -dfCap {
-			df = -dfCap
-		}
-		m.freq += df
-	}
-	m.lastPos, m.hasLast = pos, true
 }
 
 // RefineSpan implements the paper's chunk-1′ vs chunk-1″ phase tracker
@@ -458,12 +381,6 @@ func (m *Modeler) RefineSpanImage(residual, img []complex128, n0, chipFrom, chip
 	return dphi
 }
 
-// RefineFromResidual is RefineSpan against the current model state,
-// valid when the span was just subtracted with that state.
-func (m *Modeler) RefineFromResidual(residual []complex128, chips []complex128, chipFrom, chipTo int) float64 {
-	return m.RefineSpan(residual, chips, chipFrom, chipTo, m.State())
-}
-
 // buildImageWith is BuildImage under a model-state snapshot.
 func (m *Modeler) buildImageWith(s ModelState, chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
 	saved := m.State()
@@ -473,22 +390,14 @@ func (m *Modeler) buildImageWith(s ModelState, chips []complex128, chipFrom, chi
 	return img, n0
 }
 
-// Subtract builds and subtracts the chunk image without tracking. It is
-// used when re-subtracting a chunk whose parameters are already settled
-// (e.g. removing a packet from a third collision in the §4.5 general
-// case). It returns the image and its sample offset, as BuildImage does:
-// the modeler's scratch, which a caller keeping it for RefineSpanImage
-// copies out.
+// Subtract builds the chunk image under the current model state and
+// subtracts it. The joint decoder subtracts every chunk this way and
+// later measures each span's model error against the image it
+// subtracted (RefineSpan, RefineSpanImage). It returns the image and its
+// sample offset, as BuildImage does: the modeler's scratch, which a
+// caller keeping it for RefineSpanImage copies out.
 func (m *Modeler) Subtract(residual []complex128, chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
 	img, n0 := m.BuildImage(chips, chipFrom, chipTo)
 	dsp.SubAt(residual, n0, img)
 	return img, n0
-}
-
-// AddBack re-adds the chunk image, undoing a Subtract with unchanged
-// parameters. ZigZag's error-recovery path uses it when a later checksum
-// failure invalidates a decoded chunk.
-func (m *Modeler) AddBack(residual []complex128, chips []complex128, chipFrom, chipTo int) {
-	img, n0 := m.BuildImage(chips, chipFrom, chipTo)
-	dsp.AddAt(residual, n0, img)
 }

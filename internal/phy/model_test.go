@@ -232,9 +232,6 @@ func TestTrackingDisabledIsInert(t *testing.T) {
 	_, rx, wave, s := modelerScenario(t, link, 1e-4, 49)
 	m := NewModeler(cfg, s)
 	res := dsp.Clone(rx)
-	if dphi := m.TrackAndSubtract(res, wave, 0, 800); dphi != 0 {
-		t.Fatalf("TrackAndSubtract returned %v with tracking disabled", dphi)
-	}
 	if dphi := m.RefineSpan(res, wave, 0, 800, m.State()); dphi != 0 {
 		t.Fatalf("RefineSpan returned %v with tracking disabled", dphi)
 	}

@@ -3,6 +3,7 @@ package phy
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"zigzag/internal/dsp"
@@ -59,8 +60,14 @@ func TestFitISIMatchesOracle(t *testing.T) {
 			if d := relL2(m.Filter().Taps, want); d > 1e-12 {
 				t.Fatalf("seed %d span %v: taps %v, oracle %v (relative L2 %.3g)", seed, span, m.Filter().Taps, want, d)
 			}
-			// Move the ramp's anchor and frequency before the next span.
-			m.TrackAndSubtract(dsp.Clone(rx), wave, span[1], span[1]+300)
+			// Move the ramp's anchor and frequency before the next span
+			// with the production pair: subtract a chunk, then refine it.
+			snap, res := m.State(), dsp.Clone(rx)
+			m.Subtract(res, wave, span[1], span[1]+300)
+			m.RefineSpan(res, wave, span[1], span[1]+300, snap)
+			if m.State() == snap {
+				t.Fatalf("seed %d span %v: RefineSpan left the ramp where it was", seed, span)
+			}
 		}
 	}
 }
@@ -134,4 +141,85 @@ func TestDecodeRangePLLMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// clampedPhaseRef is clampedPhase without the short-cut: atan2 of w,
+// clamped to ±π/4.
+func clampedPhaseRef(w complex128) float64 {
+	e := cmplx.Phase(w)
+	const lim = math.Pi / 4
+	if e > lim {
+		e = lim
+	} else if e < -lim {
+		e = -lim
+	}
+	return e
+}
+
+// phaseErrorRef is phaseError on clampedPhaseRef.
+func phaseErrorRef(z, dec complex128) float64 {
+	if dec == 0 || z == 0 {
+		return 0
+	}
+	return clampedPhaseRef(z * cmplx.Conj(dec))
+}
+
+// requirePhaseBits fails unless the short-cut and the oracle agree in
+// every bit on w, and on (w, dec) through phaseError.
+func requirePhaseBits(t *testing.T, w, dec complex128) {
+	t.Helper()
+	if got, want := clampedPhase(w), clampedPhaseRef(w); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("clampedPhase(%v) = %v, atan2 and clamp give %v", w, got, want)
+	}
+	if got, want := phaseError(w, dec), phaseErrorRef(w, dec); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("phaseError(%v, %v) = %v, atan2 and clamp give %v", w, dec, got, want)
+	}
+}
+
+// TestClampedPhaseMatchesAtan2 pins the clamp short-cut bit for bit
+// against atan2 and clamp: every pair of signed zeros, subnormals,
+// normals, infinities and NaN; |y| = x and its neighbours; quotients
+// y/x that underflow; and random samples over many magnitudes.
+func TestClampedPhaseMatchesAtan2(t *testing.T) {
+	corners := []float64{0, math.Copysign(0, -1), math.NaN()}
+	for _, v := range []float64{5e-324, 0x1p-1022, 1e-300, 0.5, 1, math.Nextafter(1, 2), 3, 1e300, math.MaxFloat64, math.Inf(1)} {
+		corners = append(corners, v, -v)
+	}
+	for _, x := range corners {
+		for _, y := range corners {
+			requirePhaseBits(t, complex(x, y), complex(y, x))
+		}
+	}
+	r := rand.New(rand.NewSource(61))
+	mag := func() float64 { return math.Ldexp(r.Float64()+0.5, r.Intn(2100)-1075) }
+	sign := func() float64 { return float64(2*r.Intn(2) - 1) }
+	for i := 0; i < 200000; i++ {
+		x, y := sign()*mag(), sign()*mag()
+		switch i % 4 {
+		case 0:
+			y = math.Copysign(math.Abs(x), y) // |y| = x
+		case 1:
+			y = math.Copysign(math.Nextafter(math.Abs(x), math.Inf(2*r.Intn(2)-1)), y)
+		case 2:
+			x, y = sign()*r.NormFloat64(), sign()*r.NormFloat64()
+		}
+		dec := complex(sign(), 0)
+		if i%2 == 0 {
+			dec = complex(sign(), sign()) // a QPSK decision
+		}
+		requirePhaseBits(t, complex(x, y), dec)
+	}
+}
+
+// FuzzPhaseError searches for inputs on which the clamp short-cut and
+// atan2 and clamp disagree in any bit.
+func FuzzPhaseError(f *testing.F) {
+	f.Add(1.0, 1.0, 1.0, 0.0)
+	f.Add(-1.0, -5e-324, 1.0, 0.0)
+	f.Add(-1e300, -1e-300, -1.0, 1.0)
+	f.Add(0.3, -0.1, 1.0, -1.0)
+	f.Add(math.Inf(-1), -2.0, 0.0, 1.0)
+	f.Fuzz(func(t *testing.T, x, y, dr, di float64) {
+		requirePhaseBits(t, complex(x, y), complex(dr, di))
+	})
 }

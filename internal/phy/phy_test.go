@@ -295,7 +295,7 @@ func TestModelerSubtractionDepth(t *testing.T) {
 	}
 	m := NewModeler(cfg, s)
 	// Fit ISI on the first clean stretch (chips 0..600), then subtract
-	// everything chunk by chunk with tracking.
+	// everything chunk by chunk, refining each chunk after subtracting it.
 	if err := m.FitISI(rx, wave, 0, 600); err != nil {
 		t.Fatal(err)
 	}
@@ -309,31 +309,14 @@ func TestModelerSubtractionDepth(t *testing.T) {
 		if to > len(wave) {
 			to = len(wave)
 		}
-		m.TrackAndSubtract(res, wave, from, to)
+		snap := m.State()
+		m.Subtract(res, wave, from, to)
+		m.RefineSpan(res, wave, from, to, snap)
 	}
 	resPower := dsp.Power(res[80 : 40+len(wave)])
 	depth := dsp.DB(sigPower / resPower)
 	if depth < 20 {
 		t.Fatalf("subtraction depth %.1f dB, want ≥ 20 dB", depth)
-	}
-}
-
-func TestModelerAddBackRestores(t *testing.T) {
-	cfg := Default()
-	r := rand.New(rand.NewSource(17))
-	f := testFrame(r, 60, modem.BPSK)
-	wave, _ := NewTransmitter(cfg).Waveform(f)
-	air := &channel.Air{}
-	rx := air.Mix(len(wave)+60, channel.Emission{Samples: wave, Offset: 30})
-	s, _ := NewSynchronizer(cfg).Measure(rx, 30, 3, 0)
-	m := NewModeler(cfg, s)
-	orig := dsp.Clone(rx)
-	m.Subtract(rx, wave, 100, 300)
-	m.AddBack(rx, wave, 100, 300)
-	for i := range rx {
-		if cmplx.Abs(rx[i]-orig[i]) > 1e-9 {
-			t.Fatalf("AddBack did not restore sample %d", i)
-		}
 	}
 }
 
