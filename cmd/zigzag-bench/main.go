@@ -46,7 +46,8 @@ import (
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run executes the command line args and returns the exit code: 2 for
-// bad flags.
+// bad flags, among them an unknown -scale and a -shard outside
+// [0, -shards).
 func run(args []string) int {
 	fs := flag.NewFlagSet("zigzag-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment to run (see -h)")
@@ -72,13 +73,22 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "-shards must be at least 1")
 		return 2
 	}
+	if *shard < 0 || *shard >= *shards {
+		fmt.Fprintf(os.Stderr, "-shard %d out of range for -shards %d\n", *shard, *shards)
+		return 2
+	}
+	var sc experiments.Scale
+	switch *scaleName {
+	case "quick":
+		sc = experiments.Quick
+	case "full":
+		sc = experiments.Full
+	default:
+		fmt.Fprintf(os.Stderr, "-scale must be quick or full, not %q\n", *scaleName)
+		return 2
+	}
 	if *mergeList != "" {
 		return runMerge(*mergeList)
-	}
-
-	sc := experiments.Quick
-	if *scaleName == "full" {
-		sc = experiments.Full
 	}
 	sc.Workers = *workers
 

@@ -151,6 +151,32 @@ func TestMergeOneShardSplit(t *testing.T) {
 	}
 }
 
+// TestRunRefusesMisusedFlags pins that a flag the command cannot honour
+// exits 2 with a message and runs nothing: an unknown -scale (which
+// must not end up in a partial) and a -shard outside [0, -shards),
+// also when no split is asked for.
+func TestRunRefusesMisusedFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "partial.json")
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-exp", "kway", "-scale", "qiuck", "-shards", "2", "-shard", "0", "-shard-out", path}, `-scale must be quick or full, not "qiuck"`},
+		{[]string{"-exp", "fig4-2", "-scale", "Full"}, `-scale must be quick or full, not "Full"`},
+		{[]string{"-exp", "fig5-2b", "-shard", "5"}, "-shard 5 out of range for -shards 1"},
+		{[]string{"-exp", "kway", "-shards", "2", "-shard", "2"}, "-shard 2 out of range for -shards 2"},
+		{[]string{"-exp", "kway", "-shards", "2", "-shard", "-1"}, "-shard -1 out of range for -shards 2"},
+	} {
+		code, stdout, stderr := captureOutput(t, func() int { return run(tc.args) })
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2 and %q", tc.args, code, stdout, stderr, tc.msg)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote its partial (stat err %v)", err)
+	}
+}
+
 // TestMergeRejectsBadPartials pins that -merge refuses, with exit 1,
 // nothing on stdout and a message naming the offending file where
 // there is one, every set of partials that does not cover each shard

@@ -62,12 +62,9 @@ func renderCounts(exp string, cs []experiments.CountSeries) {
 }
 
 // runShard executes shard index/shards of exp and writes the partial
-// to outPath ("-" or empty = stdout). Returns the process exit code.
+// to outPath ("-" or empty = stdout). The caller has checked that index
+// lies in [0, shards). Returns the process exit code.
 func runShard(exp, scaleName string, sc experiments.Scale, seed int64, k, shards, index int, outPath string) int {
-	if index < 0 || index >= shards {
-		fmt.Fprintf(os.Stderr, "-shard %d out of range for -shards %d\n", index, shards)
-		return 2
-	}
 	cs, ok := countsFor(exp, sc, seed, k, experiments.Shard{Shards: shards, Index: index})
 	if !ok {
 		fmt.Fprintf(os.Stderr, "-shards supports fig5-3, harsh and kway; %q does not shard\n", exp)

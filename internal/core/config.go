@@ -74,16 +74,6 @@ type Config struct {
 	// data-correlation tail, so the balance point recalibrates to 0.8
 	// (the Table 5.1 benchmark sweeps this trade-off).
 	DetectBeta float64
-
-	// Workers is the worker-pool size for the Monte-Carlo harnesses
-	// built on top of this config (internal/experiments, the testbed's
-	// collision-free scheduler): independent trials fan out across this
-	// many goroutines via internal/runner. The decoder itself is
-	// sequential — chunk k+1 needs chunk k subtracted first — so Workers
-	// never changes a decode, only how many run at once. Zero means
-	// GOMAXPROCS; per-trial seed derivation keeps results identical at
-	// any value.
-	Workers int
 }
 
 // Defaults for Config fields.

@@ -66,7 +66,7 @@ func MatchCollisions(cfg Config, a, b *Reception) (MatchPairing, bool) {
 		perm[i] = i
 	}
 	best := MatchPairing{Score: -1}
-	permute(perm, 0, func(p []int) {
+	permute(perm, 0, func(p []int) bool {
 		score := 2.0
 		for i, j := range p {
 			s := matchScore(cfg, a.Samples, a.Packets[i].Sync.Start, b.Samples, b.Packets[j].Sync.Start)
@@ -77,21 +77,26 @@ func MatchCollisions(cfg Config, a, b *Reception) (MatchPairing, bool) {
 		if score > best.Score {
 			best = MatchPairing{Pairs: append([]int(nil), p...), Score: score}
 		}
+		return false
 	})
 	return best, best.Score >= cfg.matchThreshold()
 }
 
-// permute enumerates permutations of p in place, calling fn for each.
-func permute(p []int, k int, fn func([]int)) {
+// permute enumerates the permutations of p[k:] in place, in a fixed
+// swap order, calling fn on each; fn returning true stops the
+// enumeration and leaves p as fn saw it.
+func permute[E any](p []E, k int, fn func([]E) bool) bool {
 	if k == len(p) {
-		fn(p)
-		return
+		return fn(p)
 	}
 	for i := k; i < len(p); i++ {
 		p[k], p[i] = p[i], p[k]
-		permute(p, k+1, fn)
+		if permute(p, k+1, fn) {
+			return true
+		}
 		p[k], p[i] = p[i], p[k]
 	}
+	return false
 }
 
 // LocateResult is one candidate alignment of a stored packet inside a

@@ -236,13 +236,6 @@ func (z *Receiver) Reinit(cfg Config, clients []Client) {
 	z.ampStamp = [256]int{}
 }
 
-// UpdateClient inserts or refreshes a client's coarse state. The
-// amplitude estimate counts as fresh from this reception on.
-func (z *Receiver) UpdateClient(c Client) {
-	z.addClient(c)
-	z.ampStamp[c.ID] = z.recSeq
-}
-
 // addClient inserts or replaces a client, keeping ids sorted.
 func (z *Receiver) addClient(c Client) {
 	if _, ok := z.clients[c.ID]; !ok {
@@ -889,7 +882,7 @@ func (z *Receiver) kwayDecodeAssignments(recs []*Reception, clients []uint8, joi
 	var tried [][]uint8
 	var evs []Event
 	found := false
-	permuteUntil(perm, 0, func(p []uint8) bool {
+	permute(perm, 0, func(p []uint8) bool {
 		// Skip assignments indistinguishable from one already tried
 		// (clients with identical scheme and CFO).
 		for _, q := range tried {
@@ -936,23 +929,6 @@ func (z *Receiver) kwayDecodeAssignments(recs []*Reception, clients []uint8, joi
 		return false
 	})
 	return evs, found
-}
-
-// permuteUntil enumerates the permutations of s[i:] in a deterministic
-// order, calling f on each full permutation; f returning true stops the
-// enumeration (unlike match.go's permute, which always visits all).
-func permuteUntil(s []uint8, i int, f func([]uint8) bool) bool {
-	if i == len(s) {
-		return f(s)
-	}
-	for j := i; j < len(s); j++ {
-		s[i], s[j] = s[j], s[i]
-		if permuteUntil(s, i+1, f) {
-			return true
-		}
-		s[i], s[j] = s[j], s[i]
-	}
-	return false
 }
 
 // sameClientMetas reports whether two client assignments are

@@ -79,29 +79,42 @@ func countPoint(x float64, c bitCounts) CountPoint {
 // bitCounts accumulates a trial's error/total bit tallies.
 type bitCounts struct{ errBits, totBits int }
 
-func (c bitCounts) rate() float64 {
-	if c.totBits == 0 {
-		return 0
+// sumCounts folds per-trial tallies in trial order. Integer sums are
+// exact, so a shard's total is the same however its trials ran.
+func sumCounts(cs []bitCounts) bitCounts {
+	var t bitCounts
+	for _, c := range cs {
+		t.errBits += c.errBits
+		t.totBits += c.totBits
 	}
-	return float64(c.errBits) / float64(c.totBits)
+	return t
 }
 
-// berAt measures ZigZag's BER over collision pairs at a symmetric SNR.
-// Pairs run as independent trials on the worker pool, each on its
-// worker's pooled session.
-func berAt(sc Scale, seed int64, snr float64, fwdOnly bool) float64 {
-	return berAtCounts(sc, seed, snr, fwdOnly, Shard{}).rate()
+// decodeTally counts the bits of the true packets a joint decode got
+// wrong; a packet the decode did not return counts as half wrong (a
+// random guess).
+func decodeTally(truth [][]byte, res *core.Result, err error) bitCounts {
+	var c bitCounts
+	for i := range truth {
+		c.totBits += len(truth[i])
+		if err != nil || i >= len(res.Packets) {
+			c.errBits += len(truth[i]) / 2
+			continue
+		}
+		ber := bitutil.BitErrorRate(truth[i], res.Packets[i].Bits)
+		c.errBits += int(ber * float64(len(truth[i])))
+	}
+	return c
 }
 
-// berAtCounts is berAt's mergeable form: the summed bit tallies of one
-// shard of the pair sweep, folded through the streaming reducer.
+// berAtCounts measures ZigZag's BER over collision pairs at a symmetric
+// SNR: the summed bit tallies of one shard of the pair sweep. Pairs run
+// as independent trials on the worker pool, each on its worker's pooled
+// session.
 func berAtCounts(sc Scale, seed int64, snr float64, fwdOnly bool, sh Shard) bitCounts {
 	cfg := core.DefaultConfig()
 	cfg.DisableBackward = fwdOnly
-	cfg.Workers = sc.Workers
-	return reduceCounts(cfg, sc.Pairs, sh, cfg.Workers, seed^int64(snr*1000), func(sess *session.Session, _ int) bitCounts {
-		rng := sess.Rng
-		var c bitCounts
+	return sumCounts(session.Map(cfg, sh.rangeOf(sc.Pairs), sc.Workers, seed^int64(snr*1000), func(sess *session.Session, _ int) bitCounts {
 		s := newPairScenario(sess, sc.Payload, []float64{snr, snr}, 0.05)
 		// The paper's offline processing knows the (fixed) packet size;
 		// give the decoder the same knowledge so header-decode luck does
@@ -109,32 +122,17 @@ func berAtCounts(sc Scale, seed int64, snr float64, fwdOnly bool, sh Shard) bitC
 		for i := range s.metas {
 			s.metas[i].BitLen = len(s.truth[i])
 		}
-		r1, r2 := s.collisionPair(rng)
+		r1, r2 := s.collisionPair(sess.Rng)
 		res, err := sess.Decode(s.metas, s.pair(r1, r2))
-		for i := range s.truth {
-			c.totBits += len(s.truth[i])
-			if err != nil || i >= len(res.Packets) {
-				c.errBits += len(s.truth[i]) / 2
-				continue
-			}
-			ber := bitutil.BitErrorRate(s.truth[i], res.Packets[i].Bits)
-			c.errBits += int(ber * float64(len(s.truth[i])))
-		}
-		return c
-	})
+		return decodeTally(s.truth, res, err)
+	}))
 }
 
-// berCollisionFree measures the same decoder on interference-free
-// packets (each in its own slot).
-func berCollisionFree(sc Scale, seed int64, snr float64) float64 {
-	return berCollisionFreeCounts(sc, seed, snr, Shard{}).rate()
-}
-
-// berCollisionFreeCounts is berCollisionFree's mergeable shard form.
+// berCollisionFreeCounts measures the same decoder on interference-free
+// packets (each in its own slot): one shard's summed bit tallies.
 func berCollisionFreeCounts(sc Scale, seed int64, snr float64, sh Shard) bitCounts {
 	cfg := core.DefaultConfig()
-	cfg.Workers = sc.Workers
-	return reduceCounts(cfg, 2*sc.Pairs, sh, cfg.Workers, seed^int64(snr*1000)^0x5a5a, func(sess *session.Session, _ int) bitCounts {
+	return sumCounts(session.Map(cfg, sh.rangeOf(2*sc.Pairs), sc.Workers, seed^int64(snr*1000)^0x5a5a, func(sess *session.Session, _ int) bitCounts {
 		var c bitCounts
 		s := newPairScenario(sess, sc.Payload, []float64{snr}, 0.05)
 		air := sess.Air
@@ -151,5 +149,5 @@ func berCollisionFreeCounts(sc Scale, seed int64, snr float64, sh Shard) bitCoun
 		ber := bitutil.BitErrorRate(s.truth[0], res.Bits)
 		c.errBits = int(ber * float64(len(s.truth[0])))
 		return c
-	})
+	}))
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"zigzag/internal/metrics"
 	"zigzag/internal/runner"
 	"zigzag/internal/session"
@@ -38,11 +36,8 @@ func Fig54CaptureSweep(sc Scale, seed int64) Fig54Result {
 	// only on the SINR, exactly as the serial sweep had it; the grid
 	// flattens into one trial per cell (each on its worker's pooled
 	// session) and reduces in grid order.
-	cellCore := testbed.RunConfig{Workers: 1}.CoreConfig()
-	cells := runner.MustMapLocal(len(schemes)*len(sinrs), runner.Options{Workers: sc.Workers, BaseSeed: seed},
-		func() *session.Session { return session.Acquire(cellCore) },
-		session.Release,
-		func(sess *session.Session, cell int, _ *rand.Rand) testbed.RunResult {
+	cells := session.Map(testbed.RunConfig{}.CoreConfig(), runner.Batch{Hi: len(schemes) * len(sinrs)}, sc.Workers, seed,
+		func(sess *session.Session, cell int) testbed.RunResult {
 			scheme, sinr := schemes[cell/len(sinrs)], sinrs[cell%len(sinrs)]
 			cfg := testbed.HiddenPairConfig(snrB+sinr, snrB, testbed.FullyHidden,
 				sc.Packets, sc.TestbedPayload, 0.05, seed+int64(sinr*10))

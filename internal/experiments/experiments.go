@@ -15,7 +15,6 @@ import (
 	"zigzag/internal/frame"
 	"zigzag/internal/impair"
 	"zigzag/internal/modem"
-	"zigzag/internal/runner"
 	"zigzag/internal/session"
 )
 
@@ -81,13 +80,6 @@ var Full = Scale{
 	TestbedPayload: 1500,
 	TestbedPairs:   30,
 	Trials:         60000,
-}
-
-// mapTrials shortens runner.MustMap for this package's Scale-driven
-// call sites. Results come back in trial order; reductions over them
-// stay serial, keeping every figure bit-identical at any worker count.
-func mapTrials[T any](trials int, workers int, baseSeed int64, fn func(trial int, rng *rand.Rand) T) []T {
-	return runner.MustMap(trials, runner.Options{Workers: workers, BaseSeed: baseSeed}, fn)
 }
 
 // pairScenario builds one hidden-terminal collision pair at the given

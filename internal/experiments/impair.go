@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"zigzag/internal/bitutil"
 	"zigzag/internal/core"
 	"zigzag/internal/impair"
 	"zigzag/internal/metrics"
@@ -108,38 +107,27 @@ func HarshFromCounts(cs []CountSeries) HarshResult {
 	}
 }
 
-// berHarsh measures ZigZag's BER over collision pairs at harshSNR under
-// an impairment profile (berAt's harsh-channel counterpart).
-func berHarsh(sc Scale, seed int64, prof impair.Profile, noTrack bool) float64 {
-	return berHarshK(sc, seed, prof, noTrack, 2)
-}
-
-// berHarshK is berHarsh at collision order k: every trial renders k
-// equal-power packets colliding k times and decodes the set jointly.
-// noTrack runs the DisablePhaseTracking ablation. The chain seed is
-// drawn from the trial stream before the scenario, so the only
-// difference between profiles at one (seed, trial) is the impairment
-// itself; at k=2 the rng stream is identical to the historical pairwise
-// berHarsh (collisionSet pins it).
-func berHarshK(sc Scale, seed int64, prof impair.Profile, noTrack bool, k int) float64 {
-	return berHarshCounts(sc, seed, prof, noTrack, k, Shard{}).rate()
-}
-
-// berHarshCounts is berHarshK's mergeable shard form.
+// berHarshCounts measures ZigZag's BER at harshSNR under an impairment
+// profile and collision order k: every trial renders k equal-power
+// packets colliding k times and decodes the set jointly, and the result
+// is the summed bit tallies of the shard's trials. noTrack runs the
+// DisablePhaseTracking ablation. The chain seed is drawn from the trial
+// stream before the scenario, so the only difference between profiles
+// at one (seed, trial) is the impairment itself; at k=2 the rng stream
+// is identical to the historical pairwise sweep (collisionSet pins it).
 func berHarshCounts(sc Scale, seed int64, prof impair.Profile, noTrack bool, k int, sh Shard) bitCounts {
 	cfg := core.DefaultConfig()
 	cfg.PHY.DisablePhaseTracking = noTrack
-	cfg.Workers = sc.Workers
 	snrs := make([]float64, k)
 	for i := range snrs {
 		snrs[i] = harshSNR
 	}
-	return reduceCounts(cfg, sc.Pairs, sh, cfg.Workers, seed, func(sess *session.Session, _ int) bitCounts {
+	return sumCounts(session.Map(cfg, sh.rangeOf(sc.Pairs), sc.Workers, seed, func(sess *session.Session, _ int) bitCounts {
 		rng := sess.Rng
 		chainSeed := rng.Int63()
-		var c bitCounts
 		s := newPairScenario(sess, sc.Payload, snrs, 0.05)
-		// As in berAt: the offline decoder knows the fixed packet size.
+		// As in berAtCounts: the offline decoder knows the fixed packet
+		// size.
 		for i := range s.metas {
 			s.metas[i].BitLen = len(s.truth[i])
 		}
@@ -148,17 +136,7 @@ func berHarshCounts(sc Scale, seed int64, prof impair.Profile, noTrack bool, k i
 			ch.Reset(chainSeed)
 			sess.Air.Impair = ch
 		}
-		recs := s.collisionSet(rng, k)
-		res, err := sess.Decode(s.metas, recs)
-		for i := range s.truth {
-			c.totBits += len(s.truth[i])
-			if err != nil || i >= len(res.Packets) {
-				c.errBits += len(s.truth[i]) / 2
-				continue
-			}
-			ber := bitutil.BitErrorRate(s.truth[i], res.Packets[i].Bits)
-			c.errBits += int(ber * float64(len(s.truth[i])))
-		}
-		return c
-	})
+		res, err := sess.Decode(s.metas, s.collisionSet(rng, k))
+		return decodeTally(s.truth, res, err)
+	}))
 }

@@ -53,11 +53,3 @@ func KWayCounts(sc Scale, seed int64, sh Shard) []CountSeries {
 func KWayFromCounts(cs []CountSeries) KWayResult {
 	return KWayResult{BERvsK: cs[0].series(), BERvsKFading: cs[1].series()}
 }
-
-// KWayBER measures the joint-decode BER of k-packet collisions (k
-// equal-power senders, k receptions) at harshSNR under an impairment
-// profile. It is the exported entry point the benchmark harness and
-// zigzag-bench use to cost the generalized SIC path per k.
-func KWayBER(sc Scale, seed int64, k int, prof impair.Profile) float64 {
-	return berHarshK(sc, seed, prof, false, k)
-}

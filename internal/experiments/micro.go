@@ -67,7 +67,8 @@ func Fig44ErrorDecay(trials int, seed int64, workers int) Fig44Result {
 		runLens   [32]int // run length capped at 30 by the inner loop
 	}
 	batches := runner.Batches(trials, 8192)
-	tallies := mapTrials(len(batches), workers, seed, func(bi int, rng *rand.Rand) tally {
+	opts := runner.Options{Workers: workers, BaseSeed: seed}
+	tallies := runner.Map(runner.Batch{Hi: len(batches)}, opts, nil, nil, func(_ struct{}, bi int, rng *rand.Rand) tally {
 		var t tally
 		for i := batches[bi].Lo; i < batches[bi].Hi; i++ {
 			run := 0
@@ -104,7 +105,6 @@ func Fig44ErrorDecay(trials int, seed int64, workers int) Fig44Result {
 	}
 	res := Fig44Result{PropagationProbability: float64(propagate) / float64(trials)}
 	res.Series = metrics.Series{Name: "Fig 4-4: P(error survives k chunks)"}
-	acc := trials
 	for k := 0; k <= 6; k++ {
 		surviving := 0
 		for l, c := range runLens {
@@ -113,7 +113,6 @@ func Fig44ErrorDecay(trials int, seed int64, workers int) Fig44Result {
 			}
 		}
 		res.Series.Points = append(res.Series.Points, metrics.Point{X: float64(k), Y: float64(surviving) / float64(trials)})
-		_ = acc
 	}
 	return res
 }
@@ -176,14 +175,13 @@ func Table51MicroEval(sc Scale, seed int64) Table51Result {
 // 6–20 dB. The SNR×pair grid flattens into one trial per cell.
 func correlationRates(sc Scale, seed int64) (fp, fn float64) {
 	cfg := core.DefaultConfig()
-	cfg.Workers = sc.Workers
 	beta := cfg.DetectBeta
 	if beta == 0 {
 		beta = core.DefaultDetectBeta
 	}
 	snrs := []float64{6, 10, 14, 20}
 	type rates struct{ fp, fn int }
-	cells := session.MapTrials(cfg, len(snrs)*sc.Pairs, cfg.Workers, seed, func(sess *session.Session, trial int) rates {
+	cells := session.Map(cfg, runner.Batch{Hi: len(snrs) * sc.Pairs}, sc.Workers, seed, func(sess *session.Session, trial int) rates {
 		rng := sess.Rng
 		var r rates
 		snr := snrs[trial/sc.Pairs]
@@ -244,7 +242,6 @@ func filterPlausible(peaks []phy.Sync, amp float64) []phy.Sync {
 func trackingSuccess(sc Scale, seed int64, payload int, disable bool) float64 {
 	cfg := core.DefaultConfig()
 	cfg.PHY.DisablePhaseTracking = disable
-	cfg.Workers = sc.Workers
 	pairs := sc.Pairs
 	if floor := sc.statFloor(10); pairs < floor {
 		pairs = floor
@@ -252,7 +249,7 @@ func trackingSuccess(sc Scale, seed int64, payload int, disable bool) float64 {
 	if payload >= 1500 && pairs > sc.statFloor(12) {
 		pairs = sc.statFloor(12) // long packets dominate runtime
 	}
-	return successRate(successCounts(cfg, pairs, seed, func(sess *session.Session) *pairScenario {
+	return successRate(successCounts(cfg, pairs, sc.Workers, seed, func(sess *session.Session) *pairScenario {
 		return newPairScenario(sess, payload, []float64{18, 18}, 0.02)
 	}))
 }
@@ -260,12 +257,12 @@ func trackingSuccess(sc Scale, seed int64, payload int, disable bool) float64 {
 // okTotal accumulates a trial's decode-success tally.
 type okTotal struct{ ok, total int }
 
-// successCounts runs decode-success trials on the worker pool: each
+// successCounts runs decode-success trials on a pool of workers: each
 // trial builds a scenario on its worker's pooled session, decodes its
 // collision pair, and reports how many of the two packets met the §5.1f
 // criterion.
-func successCounts(cfg core.Config, pairs int, seed int64, scenario func(sess *session.Session) *pairScenario) []okTotal {
-	return session.MapTrials(cfg, pairs, cfg.Workers, seed, func(sess *session.Session, _ int) okTotal {
+func successCounts(cfg core.Config, pairs, workers int, seed int64, scenario func(sess *session.Session) *pairScenario) []okTotal {
+	return session.Map(cfg, runner.Batch{Hi: pairs}, workers, seed, func(sess *session.Session, _ int) okTotal {
 		var c okTotal
 		s := scenario(sess)
 		r1, r2 := s.collisionPair(sess.Rng)
@@ -307,13 +304,12 @@ func decodable(truth, got []byte) bool {
 func isiSuccess(sc Scale, seed int64, snr float64, disable bool) float64 {
 	cfg := core.DefaultConfig()
 	cfg.PHY.DisableISIModel = disable
-	cfg.Workers = sc.Workers
 	pairs := sc.Pairs
 	if floor := sc.statFloor(24); pairs < floor {
 		pairs = floor // keep the on/off comparison statistically stable
 	}
 	strongISI := typicalStrongISI() // shared read-only across trials
-	return successRate(successCounts(cfg, pairs, seed, func(sess *session.Session) *pairScenario {
+	return successRate(successCounts(cfg, pairs, sc.Workers, seed, func(sess *session.Session) *pairScenario {
 		s := newPairScenario(sess, sc.Payload, []float64{snr, snr}, 0.05)
 		// Strong testbed-like ISI makes the reconstruction filter
 		// matter.

@@ -3,25 +3,20 @@ package experiments
 import (
 	"fmt"
 
-	"zigzag/internal/core"
 	"zigzag/internal/metrics"
 	"zigzag/internal/runner"
-	"zigzag/internal/session"
 )
 
-// Sharded, streaming execution of the counting sweeps.
+// Sharded execution of the counting sweeps.
 //
 // The BER-style suites (fig5-3, harsh, k-way) reduce every operating
 // point to two integers — error bits and total bits — summed over
-// Monte-Carlo trials. Integer addition is exactly associative and
-// commutative, so a sweep can split its trial space into contiguous
-// shards (run by different processes), fold each shard through the
-// streaming reducer (memory O(workers), not O(trials)), and merge the
-// partial counts to the byte-identical figure: per-trial seeds derive
-// from the global trial index, so shard boundaries never move a random
-// draw. Materializing one bitCounts per trial and folding serially sums
-// the same integers over the same trials; the tests use that as the
-// reducer's oracle.
+// Monte-Carlo trials. A sweep can split its trial space into contiguous
+// shards (run by different processes), sum each shard's per-trial
+// tallies, and merge the partial counts to the byte-identical figure:
+// per-trial seeds derive from the global trial index, so shard
+// boundaries never move a random draw, and integer addition is exact
+// in any grouping.
 
 // Shard names one slice of a sweep's trial space: shard Index of
 // Shards. The zero value (or Shards <= 1) is the whole sweep.
@@ -99,23 +94,4 @@ func MergeCounts(dst, src []CountSeries) error {
 		}
 	}
 	return nil
-}
-
-// addCounts is bitCounts' exact merge.
-func addCounts(a, b bitCounts) bitCounts {
-	a.errBits += b.errBits
-	a.totBits += b.totBits
-	return a
-}
-
-// reduceCounts runs fn over the shard's slice of a trials-long sweep on
-// pooled sessions and returns the summed tallies, holding O(workers)
-// state.
-func reduceCounts(cfg core.Config, trials int, sh Shard, workers int, baseSeed int64, fn func(sess *session.Session, trial int) bitCounts) bitCounts {
-	return session.ReduceShard(cfg, sh.rangeOf(trials), workers, baseSeed,
-		func() bitCounts { return bitCounts{} },
-		func(sess *session.Session, acc bitCounts, trial int) bitCounts {
-			return addCounts(acc, fn(sess, trial))
-		},
-		addCounts)
 }

@@ -3,10 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"zigzag/internal/bitutil"
-	"zigzag/internal/core"
-	"zigzag/internal/session"
 )
 
 // mergeParts runs a counts function shard by shard and merges the
@@ -75,51 +71,6 @@ func TestKWayShardInvariant(t *testing.T) {
 	}
 	if got, want := KWayFromCounts(whole), KWayOrderSweep(sc, 5); !reflect.DeepEqual(got, want) {
 		t.Fatalf("FromCounts render diverged\nwant: %+v\n got: %+v", want, got)
-	}
-}
-
-// sumCounts is the historical materialize-then-fold path: one bitCounts
-// per trial (session.MapShard, O(trials) memory), folded serially.
-func sumCounts(cs []bitCounts) bitCounts {
-	var t bitCounts
-	for _, c := range cs {
-		t.errBits += c.errBits
-		t.totBits += c.totBits
-	}
-	return t
-}
-
-// TestLegacyMetricsOracle pins the streaming reducer against the
-// historical materialize-then-fold path: both sum the same integers
-// over the same trials, so their tallies are bit-identical, sharded or
-// not, at any worker count. The trial decodes a collision pair on the
-// pooled session, so a session reused across trials differently by
-// the two schedulers would show.
-func TestLegacyMetricsOracle(t *testing.T) {
-	cfg := core.DefaultConfig()
-	trial := func(sess *session.Session, _ int) bitCounts {
-		s := newPairScenario(sess, 60, []float64{harshSNR, harshSNR}, 0.05)
-		r1, r2 := s.collisionPair(sess.Rng)
-		res, err := sess.Decode(s.metas, s.pair(r1, r2))
-		var c bitCounts
-		for i := range s.truth {
-			c.totBits += len(s.truth[i])
-			if err != nil || i >= len(res.Packets) {
-				c.errBits += len(s.truth[i]) / 2
-				continue
-			}
-			c.errBits += int(bitutil.BitErrorRate(s.truth[i], res.Packets[i].Bits) * float64(len(s.truth[i])))
-		}
-		return c
-	}
-	const trials = 5
-	for _, sh := range []Shard{{}, {Shards: 2, Index: 0}, {Shards: 2, Index: 1}} {
-		for _, workers := range []int{1, 2} {
-			want := sumCounts(session.MapShard(cfg, sh.rangeOf(trials), workers, 7, trial))
-			if got := reduceCounts(cfg, trials, sh, workers, 7, trial); got != want {
-				t.Fatalf("shard %+v workers %d: streaming %+v, materialized %+v", sh, workers, got, want)
-			}
-		}
 	}
 }
 

@@ -82,11 +82,8 @@ func RunTestbed(sc Scale, seed int64) TestbedResult {
 		kind    testbed.PairKind
 		zz, std testbed.RunResult
 	}
-	pairCore := testbed.RunConfig{Workers: 1}.CoreConfig()
-	outcomes := runner.MustMapLocal(len(pairs), runner.Options{Workers: sc.Workers, BaseSeed: seed},
-		func() *session.Session { return session.Acquire(pairCore) },
-		session.Release,
-		func(sess *session.Session, pi int, _ *rand.Rand) pairOutcome {
+	outcomes := session.Map(testbed.RunConfig{}.CoreConfig(), runner.Batch{Hi: len(pairs)}, sc.Workers, seed,
+		func(sess *session.Session, pi int) pairOutcome {
 			p := pairs[pi]
 			cfg := testbed.RunConfig{
 				SNRs: []float64{
@@ -161,11 +158,8 @@ func Fig59ThreeHiddenTerminals(sc Scale, seed int64) Fig59Result {
 	}
 	var sums [3]float64
 	runs := maxInt(2, sc.TestbedPairs/3)
-	runCore := testbed.RunConfig{Workers: 1}.CoreConfig()
-	results := runner.MustMapLocal(runs, runner.Options{Workers: sc.Workers, BaseSeed: seed},
-		func() *session.Session { return session.Acquire(runCore) },
-		session.Release,
-		func(sess *session.Session, r int, _ *rand.Rand) testbed.RunResult {
+	results := session.Map(testbed.RunConfig{}.CoreConfig(), runner.Batch{Hi: runs}, sc.Workers, seed,
+		func(sess *session.Session, r int) testbed.RunResult {
 			cfg := testbed.RunConfig{
 				SNRs:    []float64{13, 13, 13},
 				Senses:  senses,

@@ -36,7 +36,7 @@ func TestWorkerByteIdentityPerModel(t *testing.T) {
 	}
 	for name, prof := range profiles {
 		run := func(workers int) []uint64 {
-			return runner.MustMapLocal(trials, runner.Options{Workers: workers, BaseSeed: 17},
+			return runner.Map(runner.Batch{Hi: trials}, runner.Options{Workers: workers, BaseSeed: 17},
 				func() *Chain { return prof.Chain() }, // per-worker chain, scratch accumulates
 				nil,
 				func(c *Chain, trial int, _ *rand.Rand) uint64 {

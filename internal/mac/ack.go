@@ -34,8 +34,8 @@ func AckOffsetProbability(trials int, seed int64, workers int) float64 {
 	window := 2 * (CWMin + 1)
 	neededSlots := int((SIFS + ACKDuration + SlotTime - 1) / SlotTime)
 	batches := runner.Batches(trials, 8192)
-	ok := runner.SumInt(len(batches), runner.Options{Workers: workers, BaseSeed: seed},
-		func(bi int, rng *rand.Rand) int {
+	counts := runner.Map(runner.Batch{Hi: len(batches)}, runner.Options{Workers: workers, BaseSeed: seed}, nil, nil,
+		func(_ struct{}, bi int, rng *rand.Rand) int {
 			ok := 0
 			for i := batches[bi].Lo; i < batches[bi].Hi; i++ {
 				a := rng.Intn(window)
@@ -50,5 +50,9 @@ func AckOffsetProbability(trials int, seed int64, workers int) float64 {
 			}
 			return ok
 		})
+	ok := 0
+	for _, c := range counts {
+		ok += c
+	}
 	return float64(ok) / float64(trials)
 }

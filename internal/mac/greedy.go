@@ -279,9 +279,9 @@ func GreedyFailureProbability(n, cw, length, trials int, mode BackoffMode, seed 
 			trials = floor
 		}
 	}
-	fails := runner.SumIntLocal(trials, runner.Options{Workers: workers, BaseSeed: seed},
+	failed := runner.Map(runner.Batch{Hi: trials}, runner.Options{Workers: workers, BaseSeed: seed},
 		func() *greedyScratch { return &greedyScratch{} }, nil,
-		func(sc *greedyScratch, _ int, rng *rand.Rand) int {
+		func(sc *greedyScratch, _ int, rng *rand.Rand) bool {
 			offsets := sc.offsets(n)
 			for c := 0; c < n; c++ {
 				w := cw
@@ -293,10 +293,13 @@ func GreedyFailureProbability(n, cw, length, trials int, mode BackoffMode, seed 
 					row[p] = rng.Intn(w)
 				}
 			}
-			if !sc.decodable(offsets, length) {
-				return 1
-			}
-			return 0
+			return !sc.decodable(offsets, length)
 		})
+	fails := 0
+	for _, f := range failed {
+		if f {
+			fails++
+		}
+	}
 	return float64(fails) / float64(trials)
 }

@@ -226,7 +226,7 @@ func (d *SymbolDecoder) equalizeAt(raw []complex128, base, k int) complex128 {
 // to symbol from+i regardless of direction.
 //
 // The returned slices are the decoder's reusable scratch: they stay
-// valid until the next DecodeRange/DecodeBits call on this decoder
+// valid until the next DecodeRange call on this decoder
 // (forks have independent scratch) and must be copied by callers that
 // retain them longer.
 func (d *SymbolDecoder) DecodeRange(rx []complex128, from, to int, reverse bool) (decisions, soft []complex128) {
@@ -285,12 +285,6 @@ func (d *SymbolDecoder) decodeRaw(raw []complex128, from, to int, reverse bool) 
 		}
 	}
 	return decisions, soft
-}
-
-// DecodeBits decodes symbols [from, to) and demaps them to bits.
-func (d *SymbolDecoder) DecodeBits(rx []complex128, from, to int) []byte {
-	dec, _ := d.DecodeRange(rx, from, to, false)
-	return modem.Demodulate(nil, d.scheme, dec)
 }
 
 // phaseError measures the wrapped angle between an observation and its

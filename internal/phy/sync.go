@@ -75,9 +75,6 @@ func NewSynchronizer(cfg Config) *Synchronizer {
 // PreambleEnergy returns Σ|s[k]|² of the reference waveform.
 func (sy *Synchronizer) PreambleEnergy() float64 { return sy.energy }
 
-// PreambleSamples returns the preamble length in samples.
-func (sy *Synchronizer) PreambleSamples() []complex128 { return sy.wave }
-
 // Load declares rx the reception that the following Detect, DetectFor
 // and Profile calls on rx search, so that they share one forward
 // transform of it: the first search transforms it and the others

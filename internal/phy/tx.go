@@ -34,9 +34,3 @@ func (t *Transmitter) Waveform(f *frame.Frame) ([]complex128, error) {
 	}
 	return modem.Upsample(nil, syms, t.SamplesPerSymbol), nil
 }
-
-// SymbolsToWave upsamples a symbol slice with this transmitter's
-// oversampling factor. ZigZag uses it when re-encoding decoded chunks.
-func (t *Transmitter) SymbolsToWave(syms []complex128) []complex128 {
-	return modem.Upsample(nil, syms, t.SamplesPerSymbol)
-}

@@ -2,29 +2,28 @@
 // of worker goroutines with deterministic per-trial seeding.
 //
 // Every evaluation in this repository — BER sweeps, the Fig 4-7 greedy
-// failure curves, the whole-testbed figures — reduces to "run N
-// independent trials and fold the results". The engine here makes that
-// shape parallel without giving up reproducibility:
+// failure curves, the whole-testbed figures — is "run a range of
+// independent trials and fold the results". Map makes that shape
+// parallel without giving up reproducibility:
 //
-//   - trial i always runs with rand.New(rand.NewSource(TrialSeed(base, i))),
-//     so its random stream depends only on the base seed and the trial
-//     index, never on scheduling;
-//   - results are collected into a slice indexed by trial, so reduction
-//     order is the trial order regardless of completion order;
-//   - the fold itself is left to the caller and runs serially.
+//   - trial t always draws from NewRand(base, t), seeded by its global
+//     index, so its random stream depends only on the base seed and the
+//     trial index, never on scheduling or on the shard that runs it;
+//   - results come back in trial order, so the caller's fold sees them
+//     in trial order regardless of completion order.
 //
-// Together these guarantee bit-identical output at any worker count,
-// which is what the determinism regression tests across the experiment
-// packages assert.
+// Together these guarantee bit-identical output at any worker count and
+// any ShardRange split, which the determinism regression tests across
+// the experiment packages assert.
 package runner
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Options configures one Map run.
@@ -33,8 +32,8 @@ type Options struct {
 	// negative means runtime.GOMAXPROCS(0).
 	Workers int
 
-	// BaseSeed is the root seed; trial i receives an rng seeded with
-	// TrialSeed(BaseSeed, i).
+	// BaseSeed is the root seed; trial t receives an rng seeded with
+	// TrialSeed(BaseSeed, t).
 	BaseSeed int64
 }
 
@@ -100,20 +99,9 @@ func SeededRand(seed int64) *rand.Rand {
 	return rand.New(&source64{state: uint64(seed)})
 }
 
-// TrialError wraps an error returned by a trial function.
-type TrialError struct {
-	Trial int
-	Err   error
-}
-
-func (e *TrialError) Error() string { return fmt.Sprintf("runner: trial %d: %v", e.Trial, e.Err) }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *TrialError) Unwrap() error { return e.Err }
-
-// PanicError wraps a panic raised inside a trial function. The run is
-// cancelled and the panic surfaces as an ordinary error instead of
-// killing the process or deadlocking the pool.
+// PanicError carries a panic raised inside a trial function. Map
+// re-raises it on the caller once the pool has drained, instead of the
+// panic killing the process from a worker goroutine.
 type PanicError struct {
 	Trial int
 	Value any
@@ -124,88 +112,44 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: trial %d panicked: %v", e.Trial, e.Value)
 }
 
-// Map runs fn for every trial index in [0, trials) on a pool of
-// Options.Workers goroutines and returns the results in trial order.
+// Map runs fn for every trial in [trials.Lo, trials.Hi) on a pool of
+// Options.Workers goroutines and returns the results in trial order:
+// out[i] is trial trials.Lo+i. Trial t draws from NewRand(BaseSeed, t),
+// its global index, so a shard of a sweep reproduces the unsharded
+// run's streams. Trials are handed out one at a time; an empty or
+// inverted range starts no worker.
 //
-// The first trial error or panic cancels the run: queued trials are
-// skipped, in-flight trials observe ctx cancellation, and Map returns a
-// *TrialError or *PanicError. If the caller's ctx is cancelled first,
-// Map drains the pool and returns ctx's error. On any error the result
-// slice is nil.
-func Map[T any](ctx context.Context, trials int, opts Options, fn func(ctx context.Context, trial int, rng *rand.Rand) (T, error)) ([]T, error) {
-	return MapLocal(ctx, trials, opts, nil, nil,
-		func(ctx context.Context, _ struct{}, trial int, rng *rand.Rand) (T, error) {
-			return fn(ctx, trial, rng)
-		})
-}
-
-// MapLocal is Map with worker-local state: each worker goroutine calls
-// acquire once before its first trial and release once after its last,
-// and every trial it executes receives that worker's local value. This
-// is the hoisting primitive behind the pooled session engine — a
-// worker's Transmitter/Receiver/Air world is built (or checked out of a
-// pool) once and reused across all the trials the worker runs, instead
-// of being reconstructed per trial.
+// Each started worker calls acquire once before its first trial and
+// release once after its last, and passes its local value to every
+// trial it runs; either hook may be nil. Local state must not influence
+// results: a trial returns the same value whichever worker runs it,
+// which the byte-identity suites pin at several worker counts.
 //
-// Correctness contract: local state must not influence results. A trial
-// must produce the same value whichever worker (and therefore whichever
-// local instance, with whatever scratch history) runs it — which the
-// per-trial rng seeding already enforces for randomness, and which
-// implementations of local state enforce by full per-trial resets of
-// anything observable. The determinism suites pin this at workers
-// 1/2/NumCPU. Either hook may be nil; release runs even when the worker
-// exits through a trial panic.
-func MapLocal[S, T any](ctx context.Context, trials int, opts Options, acquire func() S, release func(S), fn func(ctx context.Context, local S, trial int, rng *rand.Rand) (T, error)) ([]T, error) {
-	if trials < 0 {
-		trials = 0
-	}
-	out := make([]T, trials)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if trials == 0 {
-		return out, nil
-	}
-	workers := opts.workers()
-	if workers > trials {
-		workers = trials
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+// A panicking trial stops the feed. Once the pool drains, with every
+// worker released, Map re-panics on the caller with a *PanicError.
+func Map[S, T any](trials Batch, opts Options, acquire func() S, release func(S), fn func(local S, trial int, rng *rand.Rand) T) []T {
+	n := max(trials.Hi-trials.Lo, 0)
+	out := make([]T, n)
 	var (
-		mu       sync.Mutex
-		firstErr error
+		next     atomic.Int64
+		stop     atomic.Bool
+		once     sync.Once
+		panicked *PanicError
+		wg       sync.WaitGroup
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	runTrial := func(local S, i int) {
+		t := trials.Lo + i
 		defer func() {
 			if v := recover(); v != nil {
-				fail(&PanicError{Trial: i, Value: v, Stack: debug.Stack()})
+				once.Do(func() { panicked = &PanicError{Trial: t, Value: v, Stack: debug.Stack()} })
+				stop.Store(true)
 			}
 		}()
-		rng := NewRand(opts.BaseSeed, i)
-		v, err := fn(ctx, local, i, rng)
-		if err != nil {
-			fail(&TrialError{Trial: i, Err: err})
-			return
-		}
-		out[i] = v
+		out[i] = fn(local, t, NewRand(opts.BaseSeed, t))
 	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
+	workers := min(opts.workers(), n)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var local S
@@ -215,91 +159,29 @@ func MapLocal[S, T any](ctx context.Context, trials int, opts Options, acquire f
 			if release != nil {
 				defer release(local)
 			}
-			for i := range jobs {
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				runTrial(local, i)
 			}
 		}()
 	}
-feed:
-	for i := 0; i < trials; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MustMap is Map for infallible trial functions — the shape of every
-// Monte-Carlo sweep in this repository. fn returns only a value; the
-// only possible Map error, a panicking trial, is re-raised on the
-// caller (caller-side cancellation does not apply: the sweep always
-// runs to completion).
-func MustMap[T any](trials int, opts Options, fn func(trial int, rng *rand.Rand) T) []T {
-	out, err := Map(context.Background(), trials, opts, func(_ context.Context, i int, rng *rand.Rand) (T, error) {
-		return fn(i, rng), nil
-	})
-	if err != nil {
-		panic(err)
+	if panicked != nil {
+		panic(panicked)
 	}
 	return out
 }
 
-// MustMapLocal is MapLocal for infallible trial functions, mirroring
-// MustMap: acquire/release bracket each worker's trial stream, a
-// panicking trial re-raises on the caller, and the sweep always runs to
-// completion.
-func MustMapLocal[S, T any](trials int, opts Options, acquire func() S, release func(S), fn func(local S, trial int, rng *rand.Rand) T) []T {
-	out, err := MapLocal(context.Background(), trials, opts, acquire, release,
-		func(_ context.Context, local S, i int, rng *rand.Rand) (T, error) {
-			return fn(local, i, rng), nil
-		})
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// SumInt runs an infallible integer-valued trial function across the
-// pool and returns the sum of its results — the counting reduction
-// shared by the failure/acceptance estimators.
-func SumInt(trials int, opts Options, fn func(trial int, rng *rand.Rand) int) int {
-	total := 0
-	for _, v := range MustMap(trials, opts, fn) {
-		total += v
-	}
-	return total
-}
-
-// SumIntLocal is SumInt with worker-local state (MustMapLocal's
-// reduction counterpart).
-func SumIntLocal[S any](trials int, opts Options, acquire func() S, release func(S), fn func(local S, trial int, rng *rand.Rand) int) int {
-	total := 0
-	for _, v := range MustMapLocal(trials, opts, acquire, release, fn) {
-		total += v
-	}
-	return total
-}
-
-// Batch describes one contiguous chunk of a large iteration count. For
-// experiments whose single iterations are too cheap to dispatch
-// individually (hundreds of thousands of scalar draws), the caller maps
-// over batches instead: batch b covers iterations [Lo, Hi) and runs
-// them all on one trial rng, which keeps the per-batch streams — and
-// hence the reduced result — independent of the worker count.
+// Batch is a contiguous range [Lo, Hi) of indices: the trial range Map
+// runs, one shard of a sweep (ShardRange), or one chunk of a large
+// iteration count (Batches). Experiments whose single iterations are
+// too cheap to dispatch individually (hundreds of thousands of scalar
+// draws) map over batches instead: batch b runs all its iterations on
+// one trial rng, which keeps the per-batch streams — and hence the
+// folded result — independent of the worker count.
 type Batch struct{ Lo, Hi int }
 
 // Batches splits n iterations into ⌈n/size⌉ batches of at most size.
@@ -316,4 +198,16 @@ func Batches(n, size int) []Batch {
 		out = append(out, Batch{Lo: lo, Hi: hi})
 	}
 	return out
+}
+
+// ShardRange returns shard index's contiguous range of the global
+// trial space [0, trials): [trials·i/n, trials·(i+1)/n). The ranges of
+// all n shards tile [0, trials) exactly, and since Map seeds each trial
+// by its global index, mapping every shard and concatenating the
+// results reproduces the unsharded run.
+func ShardRange(trials, shards, index int) Batch {
+	if shards <= 0 {
+		shards, index = 1, 0
+	}
+	return Batch{Lo: trials * index / shards, Hi: trials * (index + 1) / shards}
 }

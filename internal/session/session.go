@@ -12,14 +12,11 @@
 // buffers), the joint-decode Scratch (pooled Modelers/SymbolDecoders/
 // residuals), and arenas for waveforms, payloads, links and receptions
 // — keyed by the core.Config it was built for. Workers obtain sessions
-// from a config-keyed Pool and reset them per trial:
+// from a config-keyed Pool, and Map resets them per trial:
 //
-//	runner.MustMapLocal(trials, opts,
-//	    func() *session.Session { return session.Acquire(cfg) },
-//	    session.Release,
-//	    func(s *session.Session, trial int, rng *rand.Rand) T {
-//	        s.ResetRand(rng) // or s.Reset(runner.TrialSeed(base, trial))
-//	        ... run the trial on s ...
+//	session.Map(cfg, runner.Batch{Hi: trials}, workers, seed,
+//	    func(s *session.Session, trial int) T {
+//	        ... run the trial on s; s.Rng is its stream ...
 //	    })
 //
 // Determinism contract: Reset(seed) restores a state in which every
@@ -263,63 +260,18 @@ func Acquire(cfg core.Config) *Session { return defaultPool.Acquire(cfg) }
 // Release returns a session to the process-wide pool.
 func Release(s *Session) { defaultPool.Release(s) }
 
-// MapTrials fans trials out across the runner's worker pool with one
+// Map runs fn over the trial range on runner.Map with one pooled
 // session per worker, reset onto each trial's deterministic stream
-// before the trial body runs. It is the session-engine counterpart of
-// runner.MustMap: same seeding discipline, same trial-order results,
-// byte-identical output at any worker count.
-//
-// MapTrials materializes one result per trial — O(trials) memory. Its
-// streaming counterpart is ReduceShard.
-func MapTrials[T any](cfg core.Config, trials, workers int, baseSeed int64, fn func(s *Session, trial int) T) []T {
-	return MapShard(cfg, runner.Batch{Lo: 0, Hi: trials}, workers, baseSeed, fn)
-}
-
-// MapShard is MapTrials over a contiguous range of the global trial
-// space: trial indices (and therefore seeds and random streams) are the
-// GLOBAL ones, so shard [lo,hi) of a sweep reproduces exactly the
-// trials the unsharded run executes at those indices. It remains
-// O(range) memory.
-func MapShard[T any](cfg core.Config, sh runner.Batch, workers int, baseSeed int64, fn func(s *Session, trial int) T) []T {
-	n := sh.Hi - sh.Lo
-	if n < 0 {
-		n = 0
-	}
-	return runner.MustMapLocal(n, runner.Options{Workers: workers, BaseSeed: baseSeed},
+// before fn runs: out[i] is trial trials.Lo+i, and trial t draws from
+// runner.NewRand(seed, t), so any worker count and any shard split
+// reproduce the whole run's trials byte for byte. workers <= 0 means
+// GOMAXPROCS.
+func Map[T any](cfg core.Config, trials runner.Batch, workers int, seed int64, fn func(s *Session, trial int) T) []T {
+	return runner.Map(trials, runner.Options{Workers: workers, BaseSeed: seed},
 		func() *Session { return Acquire(cfg) },
 		Release,
-		func(s *Session, i int, rng *rand.Rand) T {
-			trial := sh.Lo + i
-			if sh.Lo != 0 {
-				// MustMapLocal seeds rng by the local index; re-derive the
-				// global trial's stream so sharding never moves a byte.
-				rng = runner.NewRand(baseSeed, trial)
-			}
+		func(s *Session, trial int, rng *rand.Rand) T {
 			s.ResetRand(rng)
 			return fn(s, trial)
 		})
-}
-
-// ReduceShard streams a contiguous range of the global trial space
-// (runner.ShardRange output) through pooled per-worker sessions into a
-// mergeable accumulator: the session-engine counterpart of
-// runner.Reduce, and the memory-bounded replacement for
-// MapShard-plus-serial-fold. Merge must be exactly associative and
-// commutative (see runner.ReduceSpec); resident memory is O(workers).
-// Per-trial seeds derive from the global index, so any shard split ×
-// any worker count merges byte-identically with the unsharded run.
-func ReduceShard[A any](cfg core.Config, sh runner.Batch, workers int, baseSeed int64,
-	newAcc func() A, fold func(s *Session, acc A, trial int) A, merge func(dst, src A) A) A {
-	return runner.Reduce(runner.ReduceSpec[*Session, A]{
-		Shard:   sh,
-		Opts:    runner.Options{Workers: workers, BaseSeed: baseSeed},
-		Acquire: func() *Session { return Acquire(cfg) },
-		Release: Release,
-		NewAcc:  newAcc,
-		Fold: func(s *Session, acc A, trial int, rng *rand.Rand) A {
-			s.ResetRand(rng)
-			return fold(s, acc, trial)
-		},
-		Merge: merge,
-	})
 }

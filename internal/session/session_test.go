@@ -237,13 +237,13 @@ func TestResetRandMatchesReset(t *testing.T) {
 	}
 }
 
-// TestMapTrialsMatchesSerialAndWorkers pins MapTrials to the serial
-// reference at several worker counts — the pooled engine keeps the
-// runner's byte-identity guarantee.
-func TestMapTrialsMatchesSerialAndWorkers(t *testing.T) {
+// TestMapMatchesSerialAndWorkers pins Map to the serial reference at
+// several worker counts — the pooled engine keeps the runner's
+// byte-identity guarantee.
+func TestMapMatchesSerialAndWorkers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	run := func(workers int) []trialOutcome {
-		return MapTrials(cfg, 8, workers, 5, func(s *Session, _ int) trialOutcome {
+		return Map(cfg, runner.Batch{Hi: 8}, workers, 5, func(s *Session, _ int) trialOutcome {
 			return runTrial(s)
 		})
 	}
@@ -255,47 +255,19 @@ func TestMapTrialsMatchesSerialAndWorkers(t *testing.T) {
 	}
 }
 
-// TestReduceShardMatchesMapTrials pins the streaming reducer path to
-// the materializing reference: folding trial outcomes through
-// ReduceShard over 1, 2 and 7 shards at several worker counts must
-// reproduce the MapTrials fold exactly — the session half of the
-// counting sweeps' shard-split byte-identity guarantee. MapShard's
-// global-index seeding is pinned by the same comparison.
-func TestReduceShardMatchesMapTrials(t *testing.T) {
+// TestMapSubRangeMatchesWhole pins global-index seeding through the
+// session wrapper: Map over any sub-range of a sweep, at any worker
+// count, returns exactly that slice of the whole run — the session half
+// of the counting sweeps' shard-split byte identity.
+func TestMapSubRangeMatchesWhole(t *testing.T) {
 	cfg := core.DefaultConfig()
 	const trials = 8
-	ref := MapTrials(cfg, trials, 1, 5, func(s *Session, _ int) trialOutcome {
-		return runTrial(s)
-	})
-	for _, shards := range []int{1, 2, 7} {
+	trial := func(s *Session, _ int) trialOutcome { return runTrial(s) }
+	whole := Map(cfg, runner.Batch{Hi: trials}, 1, 5, trial)
+	for _, sub := range []runner.Batch{{Lo: 3, Hi: 7}, {Lo: 5, Hi: 6}, runner.ShardRange(trials, 7, 6)} {
 		for _, w := range []int{1, 2, 4} {
-			var got []trialOutcome
-			for i := 0; i < shards; i++ {
-				sh := runner.ShardRange(trials, shards, i)
-				part := ReduceShard(cfg, sh, w, 5,
-					func() map[int]trialOutcome { return map[int]trialOutcome{} },
-					func(s *Session, acc map[int]trialOutcome, trial int) map[int]trialOutcome {
-						acc[trial] = runTrial(s)
-						return acc
-					},
-					func(dst, src map[int]trialOutcome) map[int]trialOutcome {
-						for k, v := range src {
-							dst[k] = v
-						}
-						return dst
-					})
-				mapped := MapShard(cfg, sh, w, 5, func(s *Session, trial int) trialOutcome {
-					return runTrial(s)
-				})
-				for j := sh.Lo; j < sh.Hi; j++ {
-					if !reflect.DeepEqual(part[j], mapped[j-sh.Lo]) {
-						t.Fatalf("shards=%d workers=%d trial %d: MapShard diverged from ReduceShard", shards, w, j)
-					}
-					got = append(got, part[j])
-				}
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("shards=%d workers=%d: sharded reduce diverged from MapTrials reference", shards, w)
+			if got := Map(cfg, sub, w, 5, trial); !reflect.DeepEqual(got, whole[sub.Lo:sub.Hi]) {
+				t.Fatalf("range %+v workers=%d diverged from the whole run's slice", sub, w)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"time"
@@ -102,7 +101,6 @@ type RunConfig struct {
 func (cfg RunConfig) CoreConfig() core.Config {
 	c := core.DefaultConfig()
 	c.DisableBackward = cfg.DisableBackward
-	c.Workers = cfg.Workers
 	return c
 }
 
@@ -436,10 +434,6 @@ func (r *run) accountBits(f *frame.Frame, got []byte) {
 	r.bitErr[idx] += errs
 }
 
-// DebugEpisodeHook, when non-nil, observes every arbitrated episode
-// (tests and diagnostics only).
-var DebugEpisodeHook func(ep mac.Episode, frames []*frame.Frame, acks []bool)
-
 // deliver is the MAC arbiter: it renders the episode through the channel
 // and runs the scheme's receiver.
 func (r *run) deliver(ep mac.Episode) []bool {
@@ -450,9 +444,6 @@ func (r *run) deliver(ep mac.Episode) []bool {
 		r.deliver80211(rx, frames, acks)
 	case ZigZag:
 		r.deliverZigZag(rx, frames, acks)
-	}
-	if DebugEpisodeHook != nil {
-		DebugEpisodeHook(ep, frames, acks)
 	}
 	return acks
 }
@@ -541,19 +532,15 @@ func (r *run) runCollisionFree(airtime time.Duration) RunResult {
 		aired, delivered bool
 		errBits, totBits int
 	}
-	slots, mapErr := runner.MapLocal(context.Background(), r.cfg.Packets*n,
-		runner.Options{Workers: r.cfg.Workers, BaseSeed: r.cfg.Seed ^ 0x3c6e},
-		func() *session.Session { return session.Acquire(r.coreCfg) },
-		session.Release,
-		func(_ context.Context, sess *session.Session, slot int, rng *rand.Rand) (slotOutcome, error) {
+	slots := session.Map(r.coreCfg, runner.Batch{Hi: r.cfg.Packets * n}, r.cfg.Workers, r.cfg.Seed^0x3c6e,
+		func(sess *session.Session, slot int) slotOutcome {
 			var oc slotOutcome
-			sess.ResetRand(rng)
 			ar := arenaOf(sess)
 			if !r.cfg.Impair.Empty() {
 				// One trajectory stream per slot, drawn from the slot's
 				// trial rng so worker scheduling cannot reorder it.
 				ch := ar.impair.Get(r.cfg.Impair)
-				ch.Reset(rng.Int63())
+				ch.Reset(sess.Rng.Int63())
 				sess.Air.Impair = ch
 			}
 			seq, i := slot/n, slot%n
@@ -561,12 +548,12 @@ func (r *run) runCollisionFree(airtime time.Duration) RunResult {
 			f := ar.frameInto(0, tr, r.cfg.Payload)
 			wave, err := sess.Waveform(0, f)
 			if err != nil {
-				return oc, nil // never airs: no airtime, no accounting
+				return oc // never airs: no airtime, no accounting
 			}
 			oc.aired = true
 			truth, terr := sess.TruthBits(0, f)
 			if terr != nil {
-				return oc, nil
+				return oc
 			}
 			oc.totBits = len(truth)
 			oc.errBits = len(truth) / 2 // random-guess equivalent until decoded
@@ -576,17 +563,14 @@ func (r *run) runCollisionFree(airtime time.Duration) RunResult {
 			rx := sess.Mix(len(wave)+2*lead, channel.Emission{Samples: wave, Link: r.links[i], Offset: lead})
 			res2, err := sess.RX.Receive(rx, modem.BPSK, r.freqs[i]*0.98, 0, r.links[i].Amplitude())
 			if err != nil {
-				return oc, nil
+				return oc
 			}
 			if res2.OK() && res2.Frame.Src == f.Src && res2.Frame.Seq == f.Seq {
 				oc.delivered = true
 			}
 			oc.errBits = int(bitutil.BitErrorRate(truth, res2.Bits) * float64(len(truth)))
-			return oc, nil
+			return oc
 		})
-	if mapErr != nil {
-		panic(mapErr) // slots never return errors; only a bug panics
-	}
 	for slot, oc := range slots {
 		if !oc.aired {
 			continue
