@@ -31,7 +31,9 @@ import (
 // Config parameterizes the ZigZag decoder.
 type Config struct {
 	// PHY is the physical-layer configuration shared with the black-box
-	// decoder.
+	// decoder. Its EqTaps also sets the commit holdback: the symbols at
+	// each chunk's far edge that are left uncommitted and decoded again
+	// as part of the next chunk.
 	PHY phy.Config
 
 	// MaxChunkSymbols caps how many symbols one decode step consumes, so
@@ -39,51 +41,38 @@ type Config struct {
 	// least this often. Zero means DefaultMaxChunkSymbols.
 	MaxChunkSymbols int
 
-	// HoldbackSymbols is how many trailing symbols of each chunk are
-	// left uncommitted and re-decoded as the head of the next chunk.
-	// The equalizer's skirt at a chunk's trailing edge reads samples
-	// that still contain interference; the holdback keeps those
-	// provisional decisions out of the subtraction path. Zero means the
-	// equalizer's one-sided tap count.
-	HoldbackSymbols int
-
-	// CaptureSINRdB is the signal-to-interference threshold above which
-	// a packet is decoded straight through residual interference — the
-	// capture-effect rule (§4.1, Fig 4-1d/e). Zero means
-	// DefaultCaptureSINRdB.
-	CaptureSINRdB float64
-
 	// DisableBackward turns off the backward pass and MRC combining,
 	// leaving forward-only decoding (the Fig 5-3 ablation).
 	DisableBackward bool
-
-	// MatchThreshold is the minimum normalized correlation for two
-	// collisions to be considered matching (§4.2.2). Zero means
-	// DefaultMatchThreshold.
-	MatchThreshold float64
-
-	// MinTrackChips is the smallest subtraction increment on which the
-	// phase tracker takes a measurement; shorter increments subtract
-	// without tracking. Zero means DefaultMinTrackChips.
-	MinTrackChips int
-
-	// DetectBeta is the preamble-correlation acceptance factor used by
-	// the online receiver's collision detector (§5.3a). Zero means
-	// DefaultDetectBeta. The paper's prototype settles on 0.65; our
-	// 2-samples-per-symbol rectangular chips produce a slightly fatter
-	// data-correlation tail, so the balance point recalibrates to 0.8
-	// (the Table 5.1 benchmark sweeps this trade-off).
-	DetectBeta float64
 }
 
-// Defaults for Config fields.
+// DefaultMaxChunkSymbols is the chunk cap when Config.MaxChunkSymbols is
+// zero.
+const DefaultMaxChunkSymbols = 256
+
+// DetectBeta is the preamble-correlation acceptance factor of the
+// online receiver's collision detector (§5.3a). The paper's prototype
+// settles on 0.65; our 2-samples-per-symbol rectangular chips produce a
+// slightly fatter data-correlation tail, so the balance point
+// recalibrates to 0.8 (the Table 5.1 benchmark sweeps this trade-off).
+const DetectBeta = 0.8
+
 const (
-	DefaultMaxChunkSymbols = 256
-	DefaultCaptureSINRdB   = 10.0
-	DefaultMatchThreshold  = 0.2
-	DefaultMinTrackChips   = 64
-	DefaultDetectBeta      = 0.8
+	// captureSINRdB is the signal-to-interference threshold above which
+	// a packet is decoded straight through residual interference — the
+	// capture-effect rule (§4.1, Fig 4-1d/e).
+	captureSINRdB = 10.0
+	// matchThreshold is the minimum normalized correlation for two
+	// collisions to be considered matching (§4.2.2).
+	matchThreshold = 0.2
+	// minTrackChips is the smallest subtraction increment on which the
+	// phase tracker takes a measurement; shorter increments subtract
+	// without tracking.
+	minTrackChips = 64
 )
+
+// captureRatio is captureSINRdB as a power ratio.
+var captureRatio = dsp.FromDB(captureSINRdB)
 
 // DefaultConfig returns the configuration used by the evaluation.
 func DefaultConfig() Config {
@@ -95,40 +84,4 @@ func (c *Config) maxChunk() int {
 		return DefaultMaxChunkSymbols
 	}
 	return c.MaxChunkSymbols
-}
-
-func (c *Config) holdback() int {
-	if c.HoldbackSymbols <= 0 {
-		return c.PHY.EqTaps
-	}
-	return c.HoldbackSymbols
-}
-
-func (c *Config) captureRatio() float64 {
-	thr := c.CaptureSINRdB
-	if thr == 0 {
-		thr = DefaultCaptureSINRdB
-	}
-	return dsp.FromDB(thr)
-}
-
-func (c *Config) matchThreshold() float64 {
-	if c.MatchThreshold == 0 {
-		return DefaultMatchThreshold
-	}
-	return c.MatchThreshold
-}
-
-func (c *Config) minTrackChips() int {
-	if c.MinTrackChips <= 0 {
-		return DefaultMinTrackChips
-	}
-	return c.MinTrackChips
-}
-
-func (c *Config) detectBeta() float64 {
-	if c.DetectBeta == 0 {
-		return DefaultDetectBeta
-	}
-	return c.DetectBeta
 }

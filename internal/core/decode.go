@@ -18,6 +18,16 @@ import (
 // case where the collisions do not combine differently enough.
 var ErrNoProgress = errors.New("zigzag: chunk scheduler stalled")
 
+// dir is a decode pass's direction. It indexes the per-pass state: the
+// forward pass decodes from the preambles toward the packet tails, the
+// backward pass (§4.3b, backward.go) the same way from the tails.
+type dir int
+
+const (
+	fwd dir = iota
+	bwd
+)
+
 // pktState is the cross-reception state of one distinct packet.
 type pktState struct {
 	id   int
@@ -26,23 +36,20 @@ type pktState struct {
 	nsym      int // total symbols incl preamble; -1 until known
 	totalBits int // frame bits; -1 until known
 
-	// Forward pass.
-	decided []complex128 // decisions by symbol index
-	chips   []complex128 // decided symbols upsampled (forward)
-	soft    []complex128 // forward soft estimates
-	weight  []float64    // forward MRC weights (|Ĥ| of the decoding rec)
-	fwdUpTo int          // symbols committed forward
+	// Per pass: decisions by symbol index, the decided symbols upsampled
+	// to chips, soft estimates and MRC weights (|Ĥ| of the decoding
+	// reception).
+	decided [2][]complex128
+	chips   [2][]complex128
+	soft    [2][]complex128
+	weight  [2][]float64
+	// front is each pass's frontier: symbols [0, front[fwd]) are
+	// committed forward, symbols [front[bwd], nsym) backward.
+	front [2]int
 
 	// fwdBits are the forward bits once fwdDemod is set (forwardBits).
 	fwdBits  []byte
 	fwdDemod bool
-
-	// Backward pass.
-	decidedB  []complex128
-	chipsB    []complex128
-	softB     []complex128
-	weightB   []float64
-	bwdDownTo int // symbols ≥ bwdDownTo are committed backward
 
 	// shape is the normalized ISI signature of this sender's link,
 	// fitted once on a clean stretch and shared across receptions. Its
@@ -63,23 +70,20 @@ type occState struct {
 	r    *recState
 	sync phy.Sync
 
-	dec  *phy.SymbolDecoder // forward black-box decoder
-	mod  *phy.Modeler       // forward re-encoder
-	decB *phy.SymbolDecoder
-	modB *phy.Modeler
+	// Per pass: the black-box decoder, built when the pass first decodes
+	// a chunk here, and the re-encoder.
+	dec [2]*phy.SymbolDecoder
+	mod [2]*phy.Modeler
 
-	subChip  int // forward: chips [0, subChip) subtracted from r.res
-	subChipB int // backward: chips [subChipB, end) subtracted from r.resB
+	// sub is each pass's subtracted extent: forward, chips [0, sub[fwd])
+	// are subtracted from r.res[fwd]; backward, chips [sub[bwd], end)
+	// from r.res[bwd].
+	sub [2]int
 
-	// spans log every forward subtraction with the model state that
+	// spans log every subtraction of each pass with the model state that
 	// performed it, so refinements measure residuals in the right
-	// reference frame (§4.2.4b with correct bookkeeping). spansB is the
-	// backward counterpart.
-	spans  []subSpan
-	spansB []subSpan
-
-	prepared  bool // forward sync refined + equalizer trained
-	preparedB bool
+	// reference frame (§4.2.4b with correct bookkeeping).
+	spans [2][]subSpan
 }
 
 // subSpan is one recorded subtraction: chips [From, To) removed using
@@ -96,12 +100,12 @@ type subSpan struct {
 	ImgLo, ImgHi int
 }
 
-// recState is one reception with its mutable residual buffers.
+// recState is one reception with its mutable residual buffers, one per
+// pass.
 type recState struct {
 	id   int
 	raw  []complex128
-	res  []complex128 // forward residual
-	resB []complex128 // backward residual
+	res  [2][]complex128
 	occs []*occState
 }
 
@@ -119,10 +123,10 @@ type decoder struct {
 	iters     int
 	// bwdRan records that the backward pass ran on this decode:
 	// DecodeWith skips it when every forward candidate already passed
-	// its checksum, and a skipped pass leaves bwdDownTo at its reset
+	// its checksum, and a skipped pass leaves front[bwd] at its reset
 	// value, which would otherwise read as a finished pass.
 	bwdRan bool
-	// kway enables the generalized ordering policy (see sic.go): set for
+	// kway enables the generalized ordering policy (see margin): set for
 	// decodes over three or more distinct packets.
 	kway bool
 
@@ -151,14 +155,14 @@ type decoder struct {
 	obsRec int64
 }
 
-// emitChunk publishes one chunk-level decoder event: A=packet, B/C the
+// chunkEvent builds one chunk-level decoder event: A=packet, B/C the
 // symbol bounds, List=[reception, direction] (0 forward, 1 backward).
 // Callers guard on d.obs != nil.
-func (d *decoder) emitChunk(kind obs.Kind, o *occState, lo, hi, dir int, f0 float64) {
+func (d *decoder) chunkEvent(kind obs.Kind, o *occState, lo, hi int, dn dir, f0 float64) obs.Event {
 	ev := obs.Event{Kind: kind, Rec: d.obsRec, A: int64(o.p.id), B: int64(lo), C: int64(hi), F0: f0}
 	ev.AppendList(o.r.id)
-	ev.AppendList(dir)
-	d.obs.Emit(ev)
+	ev.AppendList(int(dn))
+	return ev
 }
 
 // newDecoder builds a one-shot decoder on a fresh Scratch (tests and
@@ -214,8 +218,8 @@ func (sc *Scratch) newDecoder(cfg Config, metas []PacketMeta, recs []*Reception)
 	for i, rc := range recs {
 		r := sc.rec(i)
 		r.id, r.raw = i, rc.Samples
-		r.res = dsp.Ensure(r.res, len(rc.Samples))
-		copy(r.res, rc.Samples)
+		r.res[fwd] = dsp.Ensure(r.res[fwd], len(rc.Samples))
+		copy(r.res[fwd], rc.Samples)
 		for _, oc := range rc.Packets {
 			if oc.Packet < 0 || oc.Packet >= len(d.pkts) {
 				return nil, fmt.Errorf("zigzag: occurrence references packet %d of %d", oc.Packet, len(d.pkts))
@@ -244,11 +248,11 @@ func (sc *Scratch) newDecoder(cfg Config, metas []PacketMeta, recs []*Reception)
 	preSyms := sc.preambleSymbols(cfg.PHY)
 	for _, p := range d.pkts {
 		p.grow(d, d.pre)
-		copy(p.decided, preSyms)
-		copy(p.decidedB, preSyms)
-		p.syncChips(d, 0, d.pre)
-		p.syncChipsB(d, 0, d.pre)
-		p.fwdUpTo = d.pre
+		for _, dn := range []dir{fwd, bwd} {
+			copy(p.decided[dn], preSyms)
+			p.syncChips(d, dn, 0, d.pre)
+		}
+		p.front[fwd] = d.pre
 	}
 	return d, nil
 }
@@ -265,34 +269,24 @@ func (p *pktState) setLength(d *decoder, bits int) {
 // zero-extending each slice in place (allocation-free once a pooled
 // packet state has reached steady-state capacity).
 func (p *pktState) grow(d *decoder, n int) {
-	if n > len(p.decided) {
-		p.decided = growZeroC(p.decided, n)
-		p.soft = growZeroC(p.soft, n)
-		p.weight = growZeroF(p.weight, n)
-		p.decidedB = growZeroC(p.decidedB, n)
-		p.softB = growZeroC(p.softB, n)
-		p.weightB = growZeroF(p.weightB, n)
-	}
-	if nc := n * d.sps; nc > len(p.chips) {
-		p.chips = growZeroC(p.chips, nc)
-		p.chipsB = growZeroC(p.chipsB, nc)
-	}
-}
-
-// syncChips re-renders chips for symbols [from, to) from the forward
-// decisions.
-func (p *pktState) syncChips(d *decoder, from, to int) {
-	for k := from; k < to; k++ {
-		for j := 0; j < d.sps; j++ {
-			p.chips[k*d.sps+j] = p.decided[k]
+	for dn := range p.decided {
+		if n > len(p.decided[dn]) {
+			p.decided[dn] = growZeroC(p.decided[dn], n)
+			p.soft[dn] = growZeroC(p.soft[dn], n)
+			p.weight[dn] = growZeroF(p.weight[dn], n)
+		}
+		if nc := n * d.sps; nc > len(p.chips[dn]) {
+			p.chips[dn] = growZeroC(p.chips[dn], nc)
 		}
 	}
 }
 
-func (p *pktState) syncChipsB(d *decoder, from, to int) {
+// syncChips re-renders pass dn's chips for symbols [from, to) from its
+// decisions.
+func (p *pktState) syncChips(d *decoder, dn dir, from, to int) {
 	for k := from; k < to; k++ {
 		for j := 0; j < d.sps; j++ {
-			p.chipsB[k*d.sps+j] = p.decidedB[k]
+			p.chips[dn][k*d.sps+j] = p.decided[dn][k]
 		}
 	}
 }
@@ -317,16 +311,34 @@ func amp2(o *occState) float64 {
 	return a * a
 }
 
+// finished reports whether pass dn has decoded p end to end: forward to
+// its tail, backward down to its preamble. A packet whose length was
+// never learned finishes neither.
+func (d *decoder) finished(dn dir, p *pktState) bool {
+	if p.nsym < 0 {
+		return false
+	}
+	if dn == fwd {
+		return p.front[fwd] >= p.nsym
+	}
+	return p.front[bwd] <= d.pre
+}
+
+// runnable reports whether pass dn still has symbols of p to decode.
+func (d *decoder) runnable(dn dir, p *pktState) bool {
+	return !d.finished(dn, p) && (dn == fwd || !p.bwdExcluded())
+}
+
 // cleanExtentFwd returns the largest symbol index hi such that symbols
-// [p.fwdUpTo, hi) of o's packet can be decoded from o's reception once
-// all other packets' already-decoded overlap is subtracted. An
-// interferer whose power is CaptureSINRdB below the packet's does not
+// [p.front[fwd], hi) of o's packet can be decoded from o's reception
+// once all other packets' already-decoded overlap is subtracted. An
+// interferer whose power is captureSINRdB below the packet's does not
 // block (the capture rule of §4.1).
 func (d *decoder) cleanExtentFwd(o *occState) int {
 	p := o.p
 	hi := d.symUB(o)
-	if hi <= p.fwdUpTo {
-		return p.fwdUpTo
+	if hi <= p.front[fwd] {
+		return p.front[fwd]
 	}
 	pPow := amp2(o)
 	for _, q := range o.r.occs {
@@ -334,12 +346,12 @@ func (d *decoder) cleanExtentFwd(o *occState) int {
 			continue
 		}
 		// The subtractable prefix of q ends at its decoded extent.
-		dirtyLo := q.sync.Start + float64(q.p.fwdUpTo*d.sps)
+		dirtyLo := q.sync.Start + float64(q.p.front[fwd]*d.sps)
 		dirtyHi := q.sync.Start + float64(d.symUB(q)*d.sps)
 		if dirtyHi <= dirtyLo {
 			continue // fully subtractable
 		}
-		if amp2(q)*d.cfg.captureRatio() <= pPow {
+		if amp2(q)*captureRatio <= pPow {
 			continue // capture: q is too weak to block p
 		}
 		limit := int(math.Floor((dirtyLo-o.sync.Start)/float64(d.sps))) - d.marginSym
@@ -347,57 +359,90 @@ func (d *decoder) cleanExtentFwd(o *occState) int {
 			hi = limit
 		}
 	}
-	if hi < p.fwdUpTo {
-		return p.fwdUpTo
+	if hi < p.front[fwd] {
+		return p.front[fwd]
 	}
 	return hi
 }
 
-// modeler lazily builds the forward re-encoder for an occurrence,
-// installing the link's ISI shape when available.
-func (d *decoder) modeler(o *occState) *phy.Modeler {
-	if o.mod == nil {
-		o.mod = d.sc.modeler(d.cfg.PHY, o.sync)
+// trackedSync returns o's sync with the frequency estimate its forward
+// re-encoder's tracker has refined, when there is one.
+func (o *occState) trackedSync() phy.Sync {
+	s := o.sync
+	if m := o.mod[fwd]; m != nil {
+		s.Freq = m.Freq()
 	}
-	if o.p.hasShape && !o.mod.ISIFitted() {
-		o.mod.SetShape(o.p.shape)
-	}
-	return o.mod
+	return s
 }
 
-// ensureSubtractedFwd extends q's subtracted prefix in its reception so
-// that samples up to uptoSample no longer contain q's decoded signal.
-// The subtraction applies the current model; its phase stays accurate
-// because refineModelsFwd re-anchors it after each decoded chunk (the
-// paper's chunk-1′/chunk-1″ comparison, §4.2.4b).
-func (d *decoder) ensureSubtractedFwd(q *occState, uptoSample float64) {
-	limitChip := q.p.fwdUpTo * d.sps
-	need := int(math.Ceil(uptoSample-q.sync.Start)) + d.marginSym*d.sps
-	if need > limitChip {
-		need = limitChip
+// modeler lazily builds o's re-encoder for pass dn on the tracked sync,
+// and installs the link's ISI shape when one exists and the model has
+// none. The shape is final before the backward pass starts, so a
+// backward re-encoder gets it when it is built.
+func (d *decoder) modeler(dn dir, o *occState) *phy.Modeler {
+	m := o.mod[dn]
+	if m == nil {
+		m = d.sc.modeler(d.cfg.PHY, o.trackedSync())
+		o.mod[dn] = m
 	}
-	if need <= q.subChip {
-		return
+	if o.p.hasShape && !m.ISIFitted() {
+		m.SetShape(o.p.shape)
 	}
-	q.spans = append(q.spans, d.subtract(d.modeler(q), q.r.res, q.p.chips, q.subChip, need))
-	q.subChip = need
+	return m
 }
 
-// selfSubtractFwd subtracts o's own freshly committed chips from its
-// decoding reception, lagging the commit frontier by the skirt margin so
-// the next chunk's equalizer still sees intact neighbours. Once the
-// packet is fully decoded the lag is dropped.
-func (d *decoder) selfSubtractFwd(o *occState) {
-	p := o.p
-	need := p.fwdUpTo*d.sps - 2*d.marginSym*d.sps
-	if p.nsym >= 0 && p.fwdUpTo >= p.nsym {
-		need = p.fwdUpTo * d.sps
+// subLimit returns how far pass dn may subtract q's signal, in chips:
+// forward up to its frontier, backward down to bwdSubFromChip.
+func (d *decoder) subLimit(dn dir, q *occState) int {
+	if dn == fwd {
+		return q.p.front[fwd] * d.sps
 	}
-	if need <= o.subChip {
+	return d.bwdSubFromChip(q)
+}
+
+// ensureSubtracted extends q's subtracted extent in pass dn's residual
+// past sample edge, plus the skirt margin, as far as q is decoded in
+// that direction. The subtraction applies the current model; its phase
+// stays accurate because refineModels re-anchors it after each decoded
+// chunk (the paper's chunk-1′/chunk-1″ comparison, §4.2.4b).
+func (d *decoder) ensureSubtracted(dn dir, q *occState, edge float64) {
+	guard, limit := d.marginSym*d.sps, d.subLimit(dn, q)
+	if dn == fwd {
+		d.subtractTo(fwd, q, min(int(math.Ceil(edge-q.sync.Start))+guard, limit))
+	} else {
+		d.subtractTo(bwd, q, max(int(math.Floor(edge-q.sync.Start))-guard, limit))
+	}
+}
+
+// selfSubtract subtracts o's own freshly committed chips from its
+// decoding reception, lagging the frontier by the skirt margin so the
+// next chunk's equalizer still sees intact neighbours. Once the pass has
+// decoded the packet end to end the lag is dropped.
+func (d *decoder) selfSubtract(dn dir, o *occState) {
+	lag := 2 * d.marginSym * d.sps
+	need := o.p.front[fwd]*d.sps - lag
+	if dn == bwd {
+		need = o.p.front[bwd]*d.sps + lag
+	}
+	if d.finished(dn, o.p) {
+		need = d.subLimit(dn, o)
+	}
+	d.subtractTo(dn, o, need)
+}
+
+// subtractTo extends q's subtracted extent in pass dn's residual to chip
+// need — forward chips [sub, need), backward [need, sub) — with q's
+// current model, logging the span for the tracker.
+func (d *decoder) subtractTo(dn dir, q *occState, need int) {
+	from, to := q.sub[dn], need
+	if dn == bwd {
+		from, to = need, q.sub[dn]
+	}
+	if to <= from {
 		return
 	}
-	o.spans = append(o.spans, d.subtract(d.modeler(o), o.r.res, p.chips, o.subChip, need))
-	o.subChip = need
+	q.spans[dn] = append(q.spans[dn], d.subtract(d.modeler(dn, q), q.r.res[dn], q.p.passChips(dn), from, to))
+	q.sub[dn] = need
 }
 
 // subtract removes the image of chips [from, to) from res with m's
@@ -412,52 +457,48 @@ func (d *decoder) subtract(m *phy.Modeler, res, chips []complex128, from, to int
 	return sp
 }
 
-// refineModelsFwd runs the §4.2.4b tracker: over the sample window
-// [winLo, winHi) of reception r, re-measure the phase of every
+// unsubtracted returns the samples where pass dn's residual still holds
+// o's signal: forward from its subtracted prefix to its end, backward
+// from its start to its subtracted suffix.
+func (d *decoder) unsubtracted(dn dir, o *occState) interval {
+	if dn == bwd {
+		return interval{o.sync.Start, o.sync.Start + float64(o.sub[bwd])}
+	}
+	return interval{o.sync.Start + float64(o.sub[fwd]), o.sync.Start + float64(d.symUB(o)*d.sps)}
+}
+
+// refineModels runs the §4.2.4b tracker in pass dn: over the sample
+// window [winLo, winHi) of reception r, re-measure the phase of every
 // subtraction span that lies there. The window is first clipped to
 // exclude samples still holding anyone's un-subtracted signal — a
 // measurement against live interference would inject jitter into the
 // frequency estimates (the paper's chunk-1″ is likewise formed only
 // after the overlapping chunk was decoded and removed). Each span is
 // measured against the model state that performed it and then consumed.
-func (d *decoder) refineModelsFwd(r *recState, winLo, winHi float64) {
-	win := d.cleanPiece(r, winLo, winHi, func(o *occState) interval {
-		return interval{
-			o.sync.Start + float64(o.subChip),
-			o.sync.Start + float64(d.symUB(o)*d.sps),
-		}
-	})
+func (d *decoder) refineModels(dn dir, r *recState, winLo, winHi float64) {
+	win := d.cleanPiece(r, winLo, winHi, dn, nil)
 	if win.empty() {
 		return
 	}
 	for _, q := range r.occs {
 		qFrom := int(math.Ceil(win.Lo - q.sync.Start))
 		qTo := int(math.Floor(win.Hi - q.sync.Start))
-		d.refineSpans(q, qFrom, qTo, false)
+		d.refineSpans(dn, q, qFrom, qTo)
 	}
 }
 
-// refineSpans measures and consumes q's recorded subtraction spans that
-// fall inside chips [from, to). A span measured whole under the filter
-// that subtracted it reuses its stored image; a partial measurement
-// builds the image of the measured range.
-func (d *decoder) refineSpans(q *occState, from, to int, backward bool) {
-	spans := q.spans
-	mod := q.mod
-	chips := q.p.chips
-	if backward {
-		spans = q.spansB
-		mod = q.modB
-		chips = q.p.chipsB
-		if q.p.bwdExcluded() {
-			chips = q.p.chips
-		}
-	}
+// refineSpans measures and consumes q's recorded subtraction spans of
+// pass dn that fall inside chips [from, to). A span measured whole under
+// the filter that subtracted it reuses its stored image; a partial
+// measurement builds the image of the measured range.
+func (d *decoder) refineSpans(dn dir, q *occState, from, to int) {
+	mod := q.mod[dn]
 	if mod == nil {
 		return
 	}
+	res, chips := q.r.res[dn], q.p.passChips(dn)
 	keep := d.spanKeep[:0]
-	for _, sp := range spans {
+	for _, sp := range q.spans[dn] {
 		lo, hi := sp.From, sp.To
 		if lo < from {
 			lo = from
@@ -465,49 +506,40 @@ func (d *decoder) refineSpans(q *occState, from, to int, backward bool) {
 		if hi > to {
 			hi = to
 		}
-		if hi-lo < d.cfg.minTrackChips() {
+		if hi-lo < minTrackChips {
 			keep = append(keep, sp)
 			continue
 		}
 		if lo == sp.From && hi == sp.To && sp.ImgHi > sp.ImgLo && sp.Gen == mod.FilterGen() {
-			mod.RefineSpanImage(r_res(q, backward), d.imgs[sp.ImgLo:sp.ImgHi], sp.N0, lo, hi, sp.Snap)
+			mod.RefineSpanImage(res, d.imgs[sp.ImgLo:sp.ImgHi], sp.N0, lo, hi, sp.Snap)
 		} else {
-			mod.RefineSpan(r_res(q, backward), chips, lo, hi, sp.Snap)
+			mod.RefineSpan(res, chips, lo, hi, sp.Snap)
 		}
 		// Keep the unmeasured remainders of the span.
-		if lo-sp.From >= d.cfg.minTrackChips() {
+		if lo-sp.From >= minTrackChips {
 			keep = append(keep, subSpan{From: sp.From, To: lo, Snap: sp.Snap})
 		}
-		if sp.To-hi >= d.cfg.minTrackChips() {
+		if sp.To-hi >= minTrackChips {
 			keep = append(keep, subSpan{From: hi, To: sp.To, Snap: sp.Snap})
 		}
 	}
-	if backward {
-		q.spansB = append(q.spansB[:0], keep...)
-	} else {
-		q.spans = append(q.spans[:0], keep...)
-	}
+	q.spans[dn] = append(q.spans[dn][:0], keep...)
 	d.spanKeep = keep[:0]
 }
 
-// r_res selects the residual buffer for a direction.
-func r_res(q *occState, backward bool) []complex128 {
-	if backward {
-		return q.r.resB
-	}
-	return q.r.res
-}
-
-// cleanPiece clips [winLo, winHi) by each occurrence's dirty interval and
-// returns the longest remaining piece if it is usefully long, else an
-// empty interval.
-func (d *decoder) cleanPiece(r *recState, winLo, winHi float64, dirty func(*occState) interval) interval {
-	if winHi-winLo < float64(d.cfg.minTrackChips()) {
+// cleanPiece clips [winLo, winHi) by the samples where pass dn's
+// residual still holds the signal of an occurrence of r other than
+// own's, and returns the longest remaining piece if it is usefully long,
+// else an empty interval.
+func (d *decoder) cleanPiece(r *recState, winLo, winHi float64, dn dir, own *pktState) interval {
+	if winHi-winLo < minTrackChips {
 		return interval{}
 	}
 	cuts := d.cuts[:0]
 	for _, o := range r.occs {
-		cuts = append(cuts, dirty(o))
+		if o.p != own {
+			cuts = append(cuts, d.unsubtracted(dn, o))
+		}
 	}
 	d.cuts = cuts[:0]
 	// subtractAll on the decoder's reusable piece buffers (no per-chunk
@@ -520,29 +552,26 @@ func (d *decoder) cleanPiece(r *recState, winLo, winHi float64, dirty func(*occS
 			best = p
 		}
 	}
-	if best.Hi-best.Lo < float64(d.cfg.minTrackChips()) {
+	if best.Hi-best.Lo < minTrackChips {
 		return interval{}
 	}
 	return best
 }
 
-// prepare builds the occurrence's black-box decoder. When the packet's
-// preamble is still present in this reception's residual, the sync is
-// refined against it (the §4.2.4a channel estimation for the sender
-// whose preamble was initially buried in interference) and the equalizer
-// is trained on it. When the preamble region has already been subtracted
-// away (the packet's first decode from this reception happens
-// mid-packet), the decoder instead borrows the equalizer trained in
-// another reception of the same link and adopts the re-encoding
+// prepareFwd builds the occurrence's forward black-box decoder. When the
+// packet's preamble is still present in this reception's residual, the
+// sync is refined against it (the §4.2.4a channel estimation for the
+// sender whose preamble was initially buried in interference) and the
+// equalizer is trained on it. When the preamble region has already been
+// subtracted away (the packet's first decode from this reception
+// happens mid-packet), the decoder instead borrows the equalizer trained
+// in another reception of the same link and adopts the re-encoding
 // tracker's refined frequency estimate.
-func (d *decoder) prepare(o *occState) {
-	if o.prepared {
-		return
-	}
-	o.prepared = true
+func (d *decoder) prepareFwd(o *occState) {
 	p := o.p
-	if o.subChip == 0 {
-		if s, ok := d.sync.Measure(o.r.res, int(math.Round(o.sync.Start)), 2, o.sync.Freq); ok {
+	res := o.r.res[fwd]
+	if o.sub[fwd] == 0 {
+		if s, ok := d.sync.Measure(res, int(math.Round(o.sync.Start)), 2, o.sync.Freq); ok {
 			// Accept the refinement only if it is consistent with the
 			// detection-time estimate; a wildly different Ĥ means the
 			// preamble region still holds interference.
@@ -551,24 +580,20 @@ func (d *decoder) prepare(o *occState) {
 				o.sync = s
 			}
 		}
-		o.dec = d.sc.symbolDecoder(d.cfg.PHY, o.sync, p.meta.Scheme)
+		o.dec[fwd] = d.sc.symbolDecoder(d.cfg.PHY, o.sync, p.meta.Scheme)
 		if !d.cfg.PHY.DisableEqualizer {
-			if err := o.dec.TrainEqualizer(o.r.res, d.sc.preambleSymbols(d.cfg.PHY), 0); err == nil && p.eqDonor == nil {
+			if err := o.dec[fwd].TrainEqualizer(res, d.sc.preambleSymbols(d.cfg.PHY), 0); err == nil && p.eqDonor == nil {
 				p.eqDonor = o
 			}
 		}
 		return
 	}
-	s := o.sync
-	if o.mod != nil {
-		s.Freq = o.mod.Freq()
-	}
-	o.sync = s
-	if p.eqDonor != nil && p.eqDonor.dec != nil {
-		o.dec = p.eqDonor.dec.WithSync(s)
+	o.sync = o.trackedSync()
+	if p.eqDonor != nil && p.eqDonor.dec[fwd] != nil {
+		o.dec[fwd] = p.eqDonor.dec[fwd].WithSync(o.sync)
 		return
 	}
-	o.dec = d.sc.symbolDecoder(d.cfg.PHY, s, p.meta.Scheme)
+	o.dec[fwd] = d.sc.symbolDecoder(d.cfg.PHY, o.sync, p.meta.Scheme)
 }
 
 // tryHeader parses the frame length out of the forward-decoded header
@@ -580,10 +605,10 @@ func (d *decoder) tryHeader(p *pktState) {
 		return
 	}
 	hdrSyms := modem.SymbolCount(p.meta.Scheme, frame.HeaderBits)
-	if p.fwdUpTo < d.pre+hdrSyms {
+	if p.front[fwd] < d.pre+hdrSyms {
 		return
 	}
-	d.hdrBits = modem.Demodulate(d.hdrBits[:0], p.meta.Scheme, p.decided[d.pre:d.pre+hdrSyms])
+	d.hdrBits = modem.Demodulate(d.hdrBits[:0], p.meta.Scheme, p.decided[fwd][d.pre:d.pre+hdrSyms])
 	bits := d.hdrBits
 	total, err := frame.PeekLength(bits)
 	if err != nil {
@@ -603,26 +628,18 @@ func (d *decoder) fitShape(o *occState, loSym, hiSym int) {
 		return
 	}
 	loChip, hiChip := loSym*d.sps, hiSym*d.sps
-	if hiChip-loChip < 2*d.cfg.minTrackChips() {
+	if hiChip-loChip < 2*minTrackChips {
 		return
 	}
 	winLo := o.sync.Start + float64(loChip)
 	winHi := o.sync.Start + float64(hiChip)
-	clean := d.cleanPiece(o.r, winLo, winHi, func(q *occState) interval {
-		if q.p == o.p {
-			return interval{} // own signal must be present
-		}
-		return interval{
-			q.sync.Start + float64(q.subChip),
-			q.sync.Start + float64(d.symUB(q)*d.sps),
-		}
-	})
-	if !clean.empty() && clean.Hi-clean.Lo >= 2*float64(d.cfg.minTrackChips()) {
+	clean := d.cleanPiece(o.r, winLo, winHi, fwd, o.p) // own signal must be present
+	if !clean.empty() && clean.Hi-clean.Lo >= 2*minTrackChips {
 		loChip = int(math.Ceil(clean.Lo - o.sync.Start))
 		hiChip = int(math.Floor(clean.Hi - o.sync.Start))
 	}
-	m := d.modeler(o)
-	if err := m.FitISI(o.r.res, o.p.chips, loChip, hiChip); err != nil {
+	m := d.modeler(fwd, o)
+	if err := m.FitISI(o.r.res[fwd], o.p.chips[fwd], loChip, hiChip); err != nil {
 		return
 	}
 	if shape, ok := m.Shape(o.p.shape.Taps); ok {
@@ -631,83 +648,180 @@ func (d *decoder) fitShape(o *occState, loSym, hiSym int) {
 	}
 }
 
-// decodeChunkFwd decodes symbols [lo, hi) of o's packet from its
-// reception's residual and commits all but the holdback tail.
-func (d *decoder) decodeChunkFwd(o *occState, lo, hi int) {
+// kept returns the symbols [from, to) of chunk [lo, hi) of o's packet
+// that pass dn's commit rule keeps; the range is empty when it keeps
+// none. The rule holds back EqTaps symbols at the chunk's far edge,
+// whose equalizer skirt reads samples that still hold interference, to
+// be decoded again as part of the next chunk: forward the chunk's tail,
+// unless it ends the packet, backward its head, unless it reaches the
+// preamble.
+func (d *decoder) kept(dn dir, o *occState, lo, hi int) (from, to int) {
+	switch {
+	case dn == fwd && hi < d.symUB(o):
+		return lo, hi - d.cfg.PHY.EqTaps
+	case dn == bwd && lo > d.pre:
+		return lo + d.cfg.PHY.EqTaps, hi
+	}
+	return lo, hi
+}
+
+// commit moves pass dn's frontier past the symbols [from, to) of chunk
+// [lo, hi) that the commit rule keeps, stopping the backward frontier
+// at the preamble, and returns them; it reports false, leaving the
+// frontier alone, when the chunk is too short to commit anything.
+func (d *decoder) commit(dn dir, o *occState, lo, hi int) (from, to int, ok bool) {
+	from, to = d.kept(dn, o, lo, hi)
+	if to <= from {
+		return 0, 0, false
+	}
+	if dn == fwd {
+		o.p.front[fwd] = to
+	} else {
+		o.p.front[bwd] = max(from, d.pre)
+	}
+	return from, to, true
+}
+
+// passName names each pass for the debug hook.
+var passName = [2]string{"fwd", "bwd"}
+
+// decodeChunk decodes symbols [lo, hi) of o's packet in pass dn from its
+// reception's residual, the backward pass in reverse, and commits what
+// the commit rule keeps. In plan mode it only applies the commit rule
+// (see planBackward).
+func (d *decoder) decodeChunk(dn dir, o *occState, lo, hi int, plan bool) {
 	p := o.p
+	if plan {
+		if from, to, ok := d.commit(dn, o, lo, hi); ok && d.debugHook != nil {
+			d.debugHook("plan", o, from, to)
+		}
+		return
+	}
 	// Clear the chunk's sample span of every other packet's decoded
-	// signal (plus skirt).
-	endSample := o.sync.Start + float64(hi*d.sps)
+	// signal (plus skirt) up to its far edge: forward its end, backward
+	// its start.
+	edge := o.sync.Start + float64(hi*d.sps)
+	if dn == bwd {
+		edge = o.sync.Start + float64(lo*d.sps)
+	}
 	for _, q := range o.r.occs {
 		if q.p != p {
-			d.ensureSubtractedFwd(q, endSample)
+			d.ensureSubtracted(dn, q, edge)
 		}
 	}
-	d.prepare(o)
-	commit := hi
-	if hi < d.symUB(o) {
-		commit = hi - d.cfg.holdback()
-		if commit <= lo {
-			return
+	if o.dec[dn] == nil {
+		if dn == fwd {
+			d.prepareFwd(o)
+		} else {
+			d.prepareBwd(o)
 		}
 	}
-	dec, soft := o.dec.DecodeRange(o.r.res, lo, hi, false)
-	p.grow(d, commit)
+	from, to, ok := d.commit(dn, o, lo, hi)
+	if !ok {
+		return
+	}
+	dec, soft := o.dec[dn].DecodeRange(o.r.res[dn], lo, hi, dn == bwd)
+	p.grow(d, to)
 	w := cmplx.Abs(o.sync.H)
-	for k := lo; k < commit; k++ {
-		p.decided[k] = dec[k-lo]
-		p.soft[k] = soft[k-lo]
-		p.weight[k] = w
+	for k := from; k < to; k++ {
+		p.decided[dn][k] = dec[k-lo]
+		p.soft[dn][k] = soft[k-lo]
+		p.weight[dn][k] = w
 	}
-	p.syncChips(d, lo, commit)
-	p.fwdUpTo = commit
-	d.tryHeader(p)
-	d.fitShape(o, lo, commit)
+	p.syncChips(d, dn, from, to)
+	if dn == fwd {
+		d.tryHeader(p)
+		d.fitShape(o, from, to)
+	}
 	if d.debugHook != nil {
-		d.debugHook("fwd", o, lo, commit)
+		d.debugHook(passName[dn], o, from, to)
 	}
 	if d.obs != nil {
-		d.emitChunk(obs.KindPeel, o, lo, commit, 0, cmplx.Abs(o.sync.H))
+		d.obs.Emit(d.chunkEvent(obs.KindPeel, o, from, to, dn, w))
 	}
 	// Remove this chunk from the residual (lagged) and re-measure every
 	// overlapping packet model against what remains.
-	preSub := o.subChip
-	d.selfSubtractFwd(o)
-	if o.subChip > preSub {
-		winLo := o.sync.Start + float64(preSub)
-		winHi := o.sync.Start + float64(o.subChip)
-		d.refineModelsFwd(o.r, winLo, winHi)
+	before := o.sub[dn]
+	d.selfSubtract(dn, o)
+	if lo, hi := min(before, o.sub[dn]), max(before, o.sub[dn]); hi > lo {
+		d.refineModels(dn, o.r, o.sync.Start+float64(lo), o.sync.Start+float64(hi))
 	}
+}
+
+// chunkFrom returns the chunk that runs from o's frontier in pass dn
+// toward symbol edge, at most MaxChunkSymbols long.
+func (d *decoder) chunkFrom(dn dir, o *occState, edge int) (lo, hi int) {
+	if dn == fwd {
+		lo = o.p.front[fwd]
+		return lo, min(edge, lo+d.cfg.maxChunk())
+	}
+	hi = o.p.front[bwd]
+	return max(edge, hi-d.cfg.maxChunk()), hi
+}
+
+// The decode core runs one of two successive-interference-cancellation
+// policies:
+//
+//   - the pairwise policy — chunk order decided purely by chunk length,
+//     scan order breaking ties — which every two-packet decode uses
+//     unconditionally, keeping k=2 bit-identical to the original
+//     decoder by construction;
+//   - the generalized k-way policy for three or more simultaneous
+//     emissions (§7's extension beyond the canonical pair): equal-length
+//     chunks are ordered by capture/SNR margin over the strongest live
+//     interferer, zero-power emissions are dropped at ingest, and the
+//     stall fallback ignores interferers that are already fully decoded
+//     (their signal is subtracted exactly before the forced chunk runs).
+//
+// margin scores an occurrence for the k-way decode order in pass dn: the
+// packet's power over the strongest interferer in the same reception
+// that pass dn has not finished. A finished interferer does not count —
+// its image is subtracted exactly before the chunk is demodulated.
+// Returns +Inf when nothing live remains, i.e. the occurrence decodes
+// interference-free.
+func (d *decoder) margin(dn dir, o *occState) float64 {
+	blocker := 0.0
+	for _, q := range o.r.occs {
+		if q.p == o.p || d.finished(dn, q.p) {
+			continue
+		}
+		if a := amp2(q); a > blocker {
+			blocker = a
+		}
+	}
+	if blocker == 0 {
+		return math.Inf(1)
+	}
+	return amp2(o) / blocker
 }
 
 // forceCapture is the stall fallback: the paper's receiver "tries in
 // parallel to use standard decoding and ZigZag, and takes whichever
-// succeeds" (§4.4). When the greedy schedule makes no progress — e.g.
-// because interference inflated the weak sender's detection-time |Ĥ|
-// just enough to flip the capture rule — force a chunk of the occurrence
-// with the best power margin over its blockers, provided the margin is
-// at least 3 dB. A wrong forced decode fails the checksum later; a right
-// one restarts the schedule. It reports whether anything was forced.
+// succeeds" (§4.4). When the greedy schedule of pass dn makes no
+// progress — e.g. because interference inflated the weak sender's
+// detection-time |Ĥ| just enough to flip the capture rule — force a
+// chunk of the occurrence with the best power margin over its blockers,
+// provided the margin is at least 3 dB. The chunk runs from the frontier
+// toward the packet's far end. A wrong forced decode fails the checksum
+// later; a right one restarts the schedule. It reports whether anything
+// was forced.
 //
 // Under the k-way policy the margin is measured against live blockers
-// only (fwdMargin): with three or more packets an interferer that is
+// only (margin): with three or more packets an interferer that is
 // already fully decoded is subtracted exactly before the forced chunk
 // runs, so counting it would veto forces that in fact succeed.
-func (d *decoder) forceCapture() bool {
+func (d *decoder) forceCapture(dn dir, plan bool) bool {
 	var best *occState
 	bestRatio := 2.0 // ≥3 dB margin required
 	for _, r := range d.recs {
 		for _, o := range r.occs {
 			p := o.p
-			if p.nsym >= 0 && p.fwdUpTo >= p.nsym {
-				continue
-			}
-			if d.symUB(o)-p.fwdUpTo <= d.cfg.holdback() {
+			if !d.runnable(dn, p) || dn == fwd && d.symUB(o)-p.front[fwd] <= d.cfg.PHY.EqTaps {
 				continue
 			}
 			var ratio float64
 			if d.kway {
-				ratio = d.fwdMargin(o)
+				ratio = d.margin(dn, o)
 			} else {
 				blocker := 0.0
 				for _, q := range r.occs {
@@ -731,29 +845,29 @@ func (d *decoder) forceCapture() bool {
 	if best == nil {
 		return false
 	}
-	lo := best.p.fwdUpTo
-	hi := lo + d.cfg.maxChunk()
-	if ub := d.symUB(best); hi > ub {
-		hi = ub
+	edge := d.symUB(best)
+	if dn == bwd {
+		edge = d.pre
 	}
-	if d.obs != nil {
-		d.emitChunk(obs.KindForce, best, lo, hi, 0, bestRatio)
+	lo, hi := d.chunkFrom(dn, best, edge)
+	if d.obs != nil && !plan {
+		d.obs.Emit(d.chunkEvent(obs.KindForce, best, lo, hi, dn, bestRatio))
 	}
-	before := best.p.fwdUpTo
-	d.decodeChunkFwd(best, lo, hi)
-	return best.p.fwdUpTo > before
+	before := best.p.front[dn]
+	d.decodeChunk(dn, best, lo, hi, plan)
+	return best.p.front[dn] != before
 }
 
-// runForward executes the paper's greedy schedule (§4.5) until no chunk
-// makes progress, decoding the largest available chunk first. Taking the
-// biggest chunk each round (instead of any positive sliver) avoids
-// committing few-symbol dribbles whose boundary effects degrade the
-// decisions; small chunks are taken only when nothing better exists.
-// Under the k-way policy, equal-length chunks are ordered by capture/SNR
-// margin: the chunk whose packet stands furthest above its live
-// interferers decodes first, so the subtraction error injected into the
-// shared residual is smallest.
-func (d *decoder) runForward() int {
+// schedule executes the paper's greedy schedule (§4.5) in pass dn until
+// no chunk makes progress, decoding the largest available chunk first,
+// and returns its rounds. Taking the biggest chunk each round (instead
+// of any positive sliver) avoids committing few-symbol dribbles whose
+// boundary effects degrade the decisions; small chunks are taken only
+// when nothing better exists. Under the k-way policy, equal-length
+// chunks are ordered by capture/SNR margin: the chunk whose packet
+// stands furthest above its live interferers decodes first, so the
+// subtraction error injected into the shared residual is smallest.
+func (d *decoder) schedule(dn dir, plan bool) int {
 	iters := 0
 	for {
 		iters++
@@ -762,25 +876,24 @@ func (d *decoder) runForward() int {
 		bestMargin := 0.0
 		for _, r := range d.recs {
 			for _, o := range r.occs {
-				p := o.p
-				if p.nsym >= 0 && p.fwdUpTo >= p.nsym {
+				if !d.runnable(dn, o.p) {
 					continue
 				}
-				lo := p.fwdUpTo
-				hi := d.cleanExtentFwd(o)
+				var edge int
+				if dn == fwd {
+					edge = d.cleanExtentFwd(o)
+				} else {
+					edge = d.cleanExtentBwd(o)
+				}
+				lo, hi := d.chunkFrom(dn, o, edge)
 				if hi <= lo {
 					continue
 				}
-				if hi-lo > d.cfg.maxChunk() {
-					hi = lo + d.cfg.maxChunk()
-				}
-				gain := hi - lo
-				if hi < d.symUB(o) {
-					gain -= d.cfg.holdback()
-				}
+				from, to := d.kept(dn, o, lo, hi)
+				gain := to - from
 				margin := 0.0
 				if d.kway {
-					margin = d.fwdMargin(o)
+					margin = d.margin(dn, o)
 				}
 				if gain > bestGain || (d.kway && best != nil && gain == bestGain && margin > bestMargin) {
 					best, bestLo, bestHi, bestGain, bestMargin = o, lo, hi, gain, margin
@@ -788,27 +901,27 @@ func (d *decoder) runForward() int {
 			}
 		}
 		if best == nil {
-			if d.forceCapture() {
+			if d.forceCapture(dn, plan) {
 				continue
 			}
 			break
 		}
-		if d.obs != nil {
-			ev := obs.Event{Kind: obs.KindSchedule, Rec: d.obsRec, A: int64(best.p.id), B: int64(bestLo), C: int64(bestHi), F0: bestMargin}
-			ev.AppendList(best.r.id)
-			ev.AppendList(0)
+		if d.obs != nil && !plan {
+			ev := d.chunkEvent(obs.KindSchedule, best, bestLo, bestHi, dn, bestMargin)
 			ev.AppendList(bestGain)
 			d.obs.Emit(ev)
 		}
-		before := best.p.fwdUpTo
-		d.decodeChunkFwd(best, bestLo, bestHi)
-		if best.p.fwdUpTo <= before {
+		before := best.p.front[dn]
+		d.decodeChunk(dn, best, bestLo, bestHi, plan)
+		if best.p.front[dn] == before {
 			// No commit (pathological sliver): avoid spinning.
-			if !d.forceCapture() {
+			if !d.forceCapture(dn, plan) {
 				break
 			}
 		}
 	}
-	d.iters += iters
 	return iters
 }
+
+// runForward runs the forward pass.
+func (d *decoder) runForward() { d.iters += d.schedule(fwd, false) }

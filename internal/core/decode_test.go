@@ -318,11 +318,11 @@ func TestResidualAfterFullDecode(t *testing.T) {
 	// sit near the noise floor (within ~6 dB).
 	for _, r := range d.recs {
 		lo := 80
-		hi := len(r.res) - 80
+		hi := len(r.res[fwd]) - 80
 		// Only check regions where both packets were subtracted.
-		minSub := len(r.res)
+		minSub := len(r.res[fwd])
 		for _, o := range r.occs {
-			end := int(o.sync.Start) + o.subChip
+			end := int(o.sync.Start) + o.sub[fwd]
 			if end < minSub {
 				minSub = end
 			}
@@ -333,7 +333,7 @@ func TestResidualAfterFullDecode(t *testing.T) {
 		if hi-lo < 200 {
 			continue
 		}
-		p := dsp.Power(r.res[lo:hi])
+		p := dsp.Power(r.res[fwd][lo:hi])
 		if p > noise*6 {
 			t.Errorf("rec %d residual power %.4f ≫ noise %.4f", r.id, p, noise)
 		}

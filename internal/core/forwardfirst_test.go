@@ -169,7 +169,7 @@ type bwdChunk struct{ pkt, rec, lo, hi int }
 func frontiers(d *decoder) []int {
 	var out []int
 	for _, p := range d.pkts {
-		out = append(out, p.bwdDownTo)
+		out = append(out, p.front[bwd])
 	}
 	return out
 }
@@ -240,7 +240,9 @@ func TestBackwardPlanMatchesPass(t *testing.T) {
 				t.Errorf("planBackward set bwdRan=%v, counted %d iterations and emitted %d events", d.bwdRan, d.iters-iters, events-evs)
 			}
 			planned = planned[:0]
-			d.scheduleBackward(true)
+			if d.anchorTails() {
+				d.schedule(bwd, true)
+			}
 			plannedTo := frontiers(d)
 
 			d.runBackward()
@@ -252,7 +254,7 @@ func TestBackwardPlanMatchesPass(t *testing.T) {
 			}
 			passReached := false
 			for _, p := range d.pkts {
-				if !p.bwdExcluded() && p.bwdDownTo <= d.pre {
+				if d.finished(bwd, p) {
 					passReached = true
 				}
 			}

@@ -79,7 +79,7 @@ func MatchCollisions(cfg Config, a, b *Reception) (MatchPairing, bool) {
 		}
 		return false
 	})
-	return best, best.Score >= cfg.matchThreshold()
+	return best, best.Score >= matchThreshold
 }
 
 // permute enumerates the permutations of p[k:] in place, in a fixed

@@ -46,7 +46,6 @@ type Event struct {
 // 802.11 receiver.
 type Receiver struct {
 	cfg     Config
-	phy     *phy.Receiver
 	sync    *phy.Synchronizer
 	clients map[uint8]Client
 	// ids lists the client IDs in ascending order: detection and
@@ -210,8 +209,7 @@ func NewReceiver(cfg Config, clients []Client) *Receiver {
 // through this, and a Reset must not silently detach whoever is
 // watching the decode stream.
 func (z *Receiver) Reinit(cfg Config, clients []Client) {
-	if z.phy == nil || z.cfg.PHY != cfg.PHY {
-		z.phy = phy.NewReceiver(cfg.PHY)
+	if z.sync == nil || z.cfg.PHY != cfg.PHY {
 		z.sync = phy.NewSynchronizer(cfg.PHY)
 	}
 	z.cfg = cfg
@@ -431,13 +429,13 @@ func (z *Receiver) detectClient(rx []complex128, c Client) []phy.Sync {
 	if c.Amp == 0 || math.IsInf(g, 1) {
 		// Unknown (or fully stale) channel: permissive threshold, no
 		// upper bound.
-		return z.sync.DetectFor(rx, c.Freq, z.cfg.detectBeta(), 0.2)
+		return z.sync.DetectFor(rx, c.Freq, DetectBeta, 0.2)
 	}
 	refAmp := c.Amp / g
 	if floor := math.Min(c.Amp, 0.2); refAmp < floor {
 		refAmp = floor
 	}
-	syncs := z.sync.DetectFor(rx, c.Freq, z.cfg.detectBeta(), refAmp)
+	syncs := z.sync.DetectFor(rx, c.Freq, DetectBeta, refAmp)
 	maxMag := 2.5 * c.Amp * g * z.sync.PreambleEnergy()
 	out := syncs[:0]
 	for _, s := range syncs {
@@ -785,7 +783,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	for _, ob := range others {
 		for _, oc := range ob.Packets {
 			ls := z.loc.locatePacket(z.cfg, ob.Samples, oc.Sync.Start, cn.rec.Samples, 1)
-			if len(ls) == 0 || ls[0].Score < z.cfg.matchThreshold() {
+			if len(ls) == 0 || ls[0].Score < matchThreshold {
 				continue
 			}
 			if sync, ok := z.sync.Measure(cn.rec.Samples, ls[0].Pos, 3, oc.Sync.Freq); ok {
@@ -796,7 +794,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	for i := range cands {
 		for _, ob := range others {
 			ls := z.loc.locatePacket(z.cfg, cn.rec.Samples, cands[i].sync.Start, ob.Samples, 1)
-			if len(ls) > 0 && ls[0].Score >= z.cfg.matchThreshold() {
+			if len(ls) > 0 && ls[0].Score >= matchThreshold {
 				cands[i].evidence += ls[0].Score
 			}
 		}
@@ -1223,7 +1221,7 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128, joint *Rece
 		var chosen phy.Sync
 		found := false
 		for _, c := range cands {
-			if c.Score < z.cfg.matchThreshold() {
+			if c.Score < matchThreshold {
 				break
 			}
 			// Distinct packets may legitimately start within one
@@ -1275,7 +1273,7 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128, joint *Rece
 		if !found {
 			if z.obsOn() {
 				for _, c := range cands {
-					z.emit(obs.Event{Kind: obs.KindAlignCand, A: int64(i), B: int64(c.Pos), F0: c.Score, F1: z.cfg.matchThreshold()})
+					z.emit(obs.Event{Kind: obs.KindAlignCand, A: int64(i), B: int64(c.Pos), F0: c.Score, F1: matchThreshold})
 				}
 			}
 			return false

@@ -80,12 +80,12 @@ func (d *decoder) assemble() *Result {
 			if errs == nil {
 				errs = make([]PacketError, len(d.pkts))
 			}
-			errs[i] = PacketError{Packet: p.id, Decoded: p.fwdUpTo, Symbols: p.nsym}
+			errs[i] = PacketError{Packet: p.id, Decoded: p.front[fwd], Symbols: p.nsym}
 			pr.Err = &errs[i]
 		}
 	}
 	for _, r := range d.recs {
-		res.Residuals = append(res.Residuals, r.res)
+		res.Residuals = append(res.Residuals, r.res[fwd])
 	}
 	return res
 }
@@ -99,7 +99,7 @@ func (d *decoder) assemblePacket(p *pktState, pr *PacketResult) {
 		pr.Bits = pr.BitsForward
 		return
 	}
-	pr.Complete = p.fwdUpTo >= p.nsym
+	pr.Complete = d.finished(fwd, p)
 	dataSyms := p.nsym - d.pre
 
 	trim := func(bits []byte) []byte {
@@ -109,15 +109,14 @@ func (d *decoder) assemblePacket(p *pktState, pr *PacketResult) {
 		return bits
 	}
 
-	bwdRan := d.bwdRan && p.bwdDownTo <= d.pre
 	var mrcBits []byte
-	if bwdRan {
-		pr.BitsBackward = trim(modem.Demodulate(nil, p.meta.Scheme, p.decidedB[d.pre:p.nsym]))
+	if d.bwdRan && d.finished(bwd, p) {
+		pr.BitsBackward = trim(modem.Demodulate(nil, p.meta.Scheme, p.decided[bwd][d.pre:p.nsym]))
 		d.combBuf = dsp.Ensure(d.combBuf, dataSyms)
 		comb := d.combBuf
 		for i := 0; i < dataSyms; i++ {
 			k := d.pre + i
-			comb[i] = modem.MRC(p.soft[k], p.weight[k], p.softB[k], p.weightB[k])
+			comb[i] = modem.MRC(p.soft[fwd][k], p.weight[fwd][k], p.soft[bwd][k], p.weight[bwd][k])
 			comb[i] = modem.Slice(p.meta.Scheme, comb[i])
 		}
 		mrcBits = trim(modem.Demodulate(nil, p.meta.Scheme, comb))
@@ -169,13 +168,13 @@ func (d *decoder) forwardBits(p *pktState) []byte {
 	p.fwdDemod = true
 	end := p.nsym
 	if end < 0 {
-		end = p.fwdUpTo
+		end = p.front[fwd]
 	}
 	if end <= d.pre {
 		p.fwdBits = p.fwdBits[:0]
 		return p.fwdBits
 	}
-	p.fwdBits = modem.Demodulate(p.fwdBits[:0], p.meta.Scheme, p.decided[d.pre:end])
+	p.fwdBits = modem.Demodulate(p.fwdBits[:0], p.meta.Scheme, p.decided[fwd][d.pre:end])
 	if p.nsym >= 0 && len(p.fwdBits) > p.totalBits {
 		p.fwdBits = p.fwdBits[:p.totalBits]
 	}
@@ -269,7 +268,7 @@ func (d *decoder) needsBackward() bool {
 		if p.nsym < 0 {
 			continue
 		}
-		if p.fwdUpTo < p.nsym || !frame.Check(d.forwardBits(p)) {
+		if !d.finished(fwd, p) || !frame.Check(d.forwardBits(p)) {
 			return true
 		}
 	}

@@ -82,8 +82,7 @@ func (sc *Scratch) pkt(i int) *pktState {
 		sc.pkts = append(sc.pkts, p)
 	}
 	*p = pktState{
-		decided: p.decided[:0], chips: p.chips[:0], soft: p.soft[:0], weight: p.weight[:0],
-		decidedB: p.decidedB[:0], chipsB: p.chipsB[:0], softB: p.softB[:0], weightB: p.weightB[:0],
+		decided: emptied(p.decided), chips: emptied(p.chips), soft: emptied(p.soft), weight: emptied(p.weight),
 		shape:   dsp.FIR{Taps: p.shape.Taps[:0]},
 		fwdBits: p.fwdBits[:0],
 	}
@@ -100,7 +99,7 @@ func (sc *Scratch) rec(i int) *recState {
 		r = &recState{}
 		sc.recs = append(sc.recs, r)
 	}
-	*r = recState{res: r.res[:0], resB: r.resB[:0], occs: r.occs[:0]}
+	*r = recState{res: emptied(r.res), occs: r.occs[:0]}
 	return r
 }
 
@@ -115,7 +114,7 @@ func (sc *Scratch) occ() *occState {
 		sc.occs = append(sc.occs, o)
 	}
 	sc.occN++
-	*o = occState{spans: o.spans[:0], spansB: o.spansB[:0]}
+	*o = occState{spans: emptied(o.spans)}
 	return o
 }
 
@@ -149,6 +148,10 @@ func (sc *Scratch) symbolDecoder(cfg phy.Config, s phy.Sync, scheme modem.Scheme
 	sc.decN++
 	return d
 }
+
+// emptied truncates both passes' slices to length zero, keeping their
+// capacity.
+func emptied[T any](s [2][]T) [2][]T { return [2][]T{s[0][:0], s[1][:0]} }
 
 // growZeroC zero-extends a complex slice to n elements, reusing
 // capacity and growing geometrically when it must reallocate.

@@ -82,7 +82,7 @@ func TestRecycledStoredEntryDropsWindow(t *testing.T) {
 	z.store(recA, ids)
 	st := z.stored[0]
 	z.loc.fresh.Load(rxA)
-	if c := z.locateStored(st, 0, rxA, 3); len(c) == 0 || c[0].Score < a.cfg.matchThreshold() {
+	if c := z.locateStored(st, 0, rxA, 3); len(c) == 0 || c[0].Score < matchThreshold {
 		t.Fatalf("packet A not located in its retransmission: %+v", c)
 	}
 	z.dropStored(0)
@@ -97,7 +97,7 @@ func TestRecycledStoredEntryDropsWindow(t *testing.T) {
 	fresh.store(recB, ids)
 	fresh.loc.fresh.Load(rxB)
 	want := fresh.locateStored(fresh.stored[0], 0, rxB, 3)
-	if len(want) == 0 || want[0].Score < b.cfg.matchThreshold() {
+	if len(want) == 0 || want[0].Score < matchThreshold {
 		t.Fatalf("packet B not located in its retransmission: %+v", want)
 	}
 	if len(got) != len(want) {

@@ -175,10 +175,6 @@ func Table51MicroEval(sc Scale, seed int64) Table51Result {
 // 6–20 dB. The SNR×pair grid flattens into one trial per cell.
 func correlationRates(sc Scale, seed int64) (fp, fn float64) {
 	cfg := core.DefaultConfig()
-	beta := cfg.DetectBeta
-	if beta == 0 {
-		beta = core.DefaultDetectBeta
-	}
 	snrs := []float64{6, 10, 14, 20}
 	type rates struct{ fp, fn int }
 	cells := session.Map(cfg, runner.Batch{Hi: len(snrs) * sc.Pairs}, sc.Workers, seed, func(sess *session.Session, trial int) rates {
@@ -193,7 +189,7 @@ func correlationRates(sc Scale, seed int64) (fp, fn float64) {
 		// collisions", §5.3a).
 		clean := s.reception(rng, []int{40, -1})
 		amp1 := s.links[1].Amplitude()
-		peaks := sy.DetectFor(clean.Samples, s.metas[1].Freq, beta, amp1)
+		peaks := sy.DetectFor(clean.Samples, s.metas[1].Freq, core.DetectBeta, amp1)
 		for _, p := range filterPlausible(peaks, amp1) {
 			if p.RefPos > 40+32 || p.RefPos < 40-32 {
 				r.fp = 1
@@ -203,7 +199,7 @@ func correlationRates(sc Scale, seed int64) (fp, fn float64) {
 		// Collision: missing the second packet's peak is a false
 		// negative.
 		coll := s.reception(rng, []int{40, 40 + 600})
-		peaks = sy.DetectFor(coll.Samples, s.metas[1].Freq, beta, amp1)
+		peaks = sy.DetectFor(coll.Samples, s.metas[1].Freq, core.DetectBeta, amp1)
 		found := false
 		for _, p := range filterPlausible(peaks, amp1) {
 			if p.RefPos > 40+32 {

@@ -105,11 +105,14 @@ func SeededRand(seed int64) *rand.Rand {
 type PanicError struct {
 	Trial int
 	Value any
-	Stack []byte
+	Stack []byte // the panicking worker's stack
 }
 
+// Error carries the trial's stack: an unrecovered re-panic prints only
+// this text and the caller's goroutine, so the faulting frame would
+// otherwise never show.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("runner: trial %d panicked: %v", e.Trial, e.Value)
+	return fmt.Sprintf("runner: trial %d panicked: %v\n\n%s", e.Trial, e.Value, e.Stack)
 }
 
 // Map runs fn for every trial in [trials.Lo, trials.Hi) on a pool of

@@ -297,6 +297,30 @@ func TestReducePanicPropagates(t *testing.T) {
 	if msg := pe.Error(); !strings.Contains(msg, "trial 57") || !strings.Contains(msg, "boom") {
 		t.Fatalf("Error() = %q, want the trial index and the panic value", msg)
 	}
+	// The faulting frame: a trial that panics inside a helper names the
+	// helper in Error(), the only text an unrecovered re-panic prints.
+	pe = catchPanic(func() {
+		Map(Batch{Hi: 8}, Options{Workers: 2}, nil, nil, func(_ struct{}, trial int, _ *rand.Rand) int {
+			if trial == 5 {
+				return explodeInTrial(trial)
+			}
+			return trial
+		})
+	})
+	if pe == nil || pe.Trial != 5 {
+		t.Fatalf("recovered %+v, want a *PanicError at trial 5", pe)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, "explodeInTrial") {
+		t.Fatalf("Error() = %q, want the stack of the trial, naming the helper that panicked", msg)
+	}
+}
+
+// explodeInTrial panics in a frame of its own.
+//
+//go:noinline
+func explodeInTrial(trial int) int {
+	var empty []int
+	return empty[trial]
 }
 
 // TestMapPanicSurfacesWithoutDeadlock pins that a panicking trial
